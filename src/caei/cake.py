@@ -14,8 +14,9 @@ routes produce competitive outcomes:
   back to the exact LP search if the construction misses.
 
 * ``max_welfare_fixed_agents`` enumerates served sets over a refined
-  cell partition and lets the exact subset LP decide supportability.
-  Exponential in the number of agents, exact in everything else.
+  cell partition and lets the exact price-only subset LP decide
+  supportability.  Exponential in the number of agents, exact in
+  everything else.
 
 * completion: ``price_curve_for_allocation`` / ``allocation_for_price_curve``
   recover the missing half of an outcome through the divisible-goods
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .discrete import solve_caei
-from .divisible import allocation_for_prices, prices_for_allocation, subset_caei_lp
+from .divisible import allocation_for_prices, max_welfare_caei, prices_for_allocation
 from .model import (
     CaeiSolution,
     CakeInstance,
@@ -304,35 +305,26 @@ def greedy_contiguous(instance: CakeInstance) -> CaeiSolution:
 def max_welfare_fixed_agents(instance: CakeInstance) -> CaeiSolution:
     """Exact maximum-satisfaction outcome by served-set enumeration.
 
-    Cells of the demander-count refinement act as divisible goods; a
-    served set is supportable iff the money-flow LP on those goods is.
-    Subsets run from largest to smallest, ties lexicographic, so the
-    first hit is optimal.  Exponential in agents by design.
+    Cells of the demander-count refinement act as divisible goods,
+    and ``max_welfare_caei`` searches their agent subsets: a served
+    set is supportable iff some cell prices let its members afford
+    their cells while pricing everyone else out, at a total of at most
+    n.  Subsets run from largest to smallest, ties lexicographic, so
+    the first hit is optimal.  Exponential in agents by design.
     """
-    n = instance.num_agents
     partition = refine_partition(instance, (), "per_demander_count")
-    goods = _cell_goods(instance, partition)
-
-    candidates = []
-    for mask in range(1 << n):
-        agents = tuple(i for i in range(n) if mask >> i & 1)
-        candidates.append((-len(agents), agents))
-    candidates.sort()
-    for _, agents in candidates:
-        inner = subset_caei_lp(goods, agents)
-        if inner is None:
-            continue
-        solution = CaeiSolution(
-            _carve_cells(partition.cells, inner.allocation),
-            _cell_curve(partition, inner.prices),
-            inner.served,
-            inner.welfare,
-            provenance="max_welfare_fixed_agents",
-        )
-        report = verify_caei(instance, solution)
-        assert report.is_caei, f"cell LP mapped badly: {report.violations}"
-        return solution
-    raise AssertionError("some served set is always supportable on cake")
+    inner = max_welfare_caei(_cell_goods(instance, partition), grouping="by_agents")
+    assert inner is not None, "the empty served set is always supportable on cake"
+    solution = CaeiSolution(
+        _carve_cells(partition.cells, inner.allocation),
+        _cell_curve(partition, inner.prices),
+        inner.served,
+        inner.welfare,
+        provenance="max_welfare_fixed_agents",
+    )
+    report = verify_caei(instance, solution)
+    assert report.is_caei, f"cell LP mapped badly: {report.violations}"
+    return solution
 
 
 def price_curve_for_allocation(instance: CakeInstance, allocation):

@@ -12,6 +12,7 @@ Exit codes: 0 success or verified, 1 usage or malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -426,6 +427,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+# built once per process: parse_args leaves the parser unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="caei", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import GREATER_EQUAL, LESS_EQUAL, LinearProgram, OPTIMAL, simplex_solve
+from .divisible import _eps_prices, max_welfare_caei
 from .model import (
     CaeiSolution,
     DiscreteInstance,
@@ -113,8 +113,6 @@ def max_welfare_relaxed(
     fractional optimum rounds down to whole copies without changing
     anyone's satisfaction or any price verdict.
     """
-    from .divisible import max_welfare_caei
-
     quantities = instance.quantities
     reduced = DivisibleInstance(
         [
@@ -175,19 +173,8 @@ def prices_for_allocation_discrete(instance: DiscreteInstance, allocation):
             )
 
     served = compute_served(instance, allocation)
-    lp = LinearProgram(sense="max")
-    for j in range(m):
-        lp.add_variable(f"p{j}")
-    lp.add_variable("eps", upper=1)
-    lp.set_objective({"eps": 1})
-    for i in range(n):
-        held = {f"p{j}": allocation[i][j] for j in range(m) if allocation[i][j]}
-        if held:
-            lp.add_constraint(held, LESS_EQUAL, 1)
-        if i not in served:
-            wanted = {f"p{j}": 1 for j in instance.demands[i]}
-            lp.add_constraint({**wanted, "eps": -1}, GREATER_EQUAL, 1)
-    out = simplex_solve(lp)
-    if out.status != OPTIMAL or out.objective_value <= 0:
-        return None
-    return tuple(out.assignment[f"p{j}"] for j in range(m))
+    wanted = [
+        None if i in served else [int(j in demand) for j in range(m)]
+        for i, demand in enumerate(instance.demands)
+    ]
+    return _eps_prices(m, allocation, wanted)

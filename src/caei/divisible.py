@@ -9,9 +9,11 @@ Two routes to a competitive allocation from equal incomes:
   Fast, but floating point: results carry ``exact=False``.
 
 * ``subset_caei_lp`` fixes who is to be satisfied and asks an exact
-  rational LP for supporting prices and a money flow; enumerating
-  subsets from large to small (``max_welfare_caei``) then maximizes
-  the number of satisfied agents exactly.
+  rational LP over the prices alone whether the served agents can
+  afford their demands while everyone else is priced out; leftover
+  goods are then water-filled into the unspent budgets.  Enumerating
+  subsets from large to small (``max_welfare_caei``) maximizes the
+  number of satisfied agents exactly.
 
 ``prices_for_allocation`` and ``allocation_for_prices`` complete a
 half-specified outcome: given one side, find the other or report that
@@ -51,10 +53,9 @@ class EgConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EgProgram:
-    """Solved reduced program: utilities, unit budgets, good multipliers."""
+    """Solved reduced program: utilities and good multipliers."""
 
     utilities: tuple[float, ...]
-    budgets: tuple[float, ...]
     duals: tuple[float, ...]
     iterations: int
     residual: float
@@ -186,7 +187,6 @@ def solve_reduced_program(
         raise EgConvergenceError(f"final residual {res:.3e} above tolerance")
     return EgProgram(
         tuple(inverse_costs),
-        tuple(1.0 for _ in range(n)),
         tuple(lam),
         iterations,
         res,
@@ -248,6 +248,46 @@ def _newton_polish(v, lam, target, rounds: int = 60):
 # exact LP route
 
 
+def _eps_prices(num_goods, afford, priced_out, cap=None, tiebreak=None):
+    """The eps-price LP behind every exact pricing question.
+
+    Variables p0..p{m-1} and a slack eps <= 1, maximized.  For each
+    agent in index order: the bundle ``afford[i]`` must cost at most 1
+    (no row when it is empty), then the bundle ``priced_out[i]`` must
+    cost at least 1 + eps (no row when it is None).  ``cap`` bounds the
+    total price.  Bundles are quantity vectors.
+    Returns the prices when the optimal eps is positive, else None.
+    With ``tiebreak``, a second solve at the optimal eps maximizes
+    those price weights, which pins one vertex among the many the
+    slack stage usually has.
+    """
+
+    def cost(bundle):
+        return {f"p{j}": q for j, q in enumerate(bundle) if q}
+
+    lp = LinearProgram(sense="max")
+    for j in range(num_goods):
+        lp.add_variable(f"p{j}")
+    lp.add_variable("eps", upper=1)
+    lp.set_objective({"eps": 1})
+    for held, wanted in zip(afford, priced_out):
+        if row := cost(held):
+            lp.add_constraint(row, LESS_EQUAL, 1)
+        if wanted is not None:
+            lp.add_constraint({**cost(wanted), "eps": -1}, GREATER_EQUAL, 1)
+    if cap is not None:
+        lp.add_constraint({f"p{j}": 1 for j in range(num_goods)}, LESS_EQUAL, cap)
+    out = simplex_solve(lp)
+    if out.status != OPTIMAL or out.objective_value <= 0:
+        return None
+    if tiebreak is not None:
+        lp.add_constraint({"eps": 1}, EQUAL, out.objective_value)
+        lp.set_objective(cost(tiebreak))
+        out = simplex_solve(lp)
+        assert out.status == OPTIMAL, "the tiebreak restricts a nonempty bounded region"
+    return tuple(out.assignment[f"p{j}"] for j in range(num_goods))
+
+
 def subset_caei_lp(
     instance: DivisibleInstance,
     served,
@@ -255,79 +295,50 @@ def subset_caei_lp(
 ) -> CaeiSolution | None:
     """Exact supporting prices and allocation for a fixed served set.
 
-    Builds the money-flow LP: prices p, per-agent-per-good spending m,
-    and a slack eps by which every unserved agent's demand overshoots
-    the budget.  Feasible with eps > 0 means the served set is exactly
-    supportable; the allocation is spending divided by price.  A second
-    solve at the optimal eps maximizes the total cost of the served
-    demands, which pins the returned prices deterministically against
-    the many vertices the slack stage usually has.
+    The served set is supportable exactly when some prices let every
+    served agent afford its demand while every other agent's demand
+    costs more than 1.  Under full clearing the total price must also
+    stay at most n, so that the leftover goods fit into the unspent
+    budgets.  A second solve at the optimal slack maximizes the total
+    cost of the served demands, which pins the returned prices
+    deterministically.  Served agents get their demands; under full
+    clearing each leftover good is water-filled into the remaining
+    budgets in agent order (a free good goes to agent 0), otherwise
+    leftovers stay unsold.
     """
     n, m = instance.num_agents, instance.num_goods
     served = frozenset(served)
     if any(i < 0 or i >= n for i in served):
         raise ValueError(f"served set {sorted(served)} out of range")
     v = instance.demands
-    for j in range(m):
-        if sum(v[i][j] for i in served) > 1:
-            return None
-
-    def build():
-        lp = LinearProgram(sense="max")
-        for j in range(m):
-            lp.add_variable(f"p{j}")
-        for i in range(n):
-            for j in range(m):
-                lp.add_variable(f"m{i}_{j}")
-        lp.add_variable("eps", upper=1)
-        for i in range(n):
-            cost = {f"p{j}": v[i][j] for j in range(m) if v[i][j]}
-            if i in served:
-                lp.add_constraint(cost, LESS_EQUAL, 1)
-                for j in range(m):
-                    if v[i][j]:
-                        lp.add_constraint(
-                            {f"m{i}_{j}": 1, f"p{j}": -v[i][j]}, GREATER_EQUAL, 0
-                        )
-            else:
-                lp.add_constraint({**cost, "eps": -1}, GREATER_EQUAL, 1)
-        for j in range(m):
-            spending = {f"m{i}_{j}": 1 for i in range(n)}
-            relation = EQUAL if require_full_clearing else LESS_EQUAL
-            lp.add_constraint({**spending, f"p{j}": -1}, relation, 0)
-        for i in range(n):
-            lp.add_constraint({f"m{i}_{j}": 1 for j in range(m)}, LESS_EQUAL, 1)
-        return lp
-
-    stage1 = build()
-    stage1.set_objective({"eps": 1})
-    out1 = simplex_solve(stage1)
-    if out1.status != OPTIMAL or out1.objective_value <= 0:
+    taken = [sum((v[i][j] for i in served), Fraction(0)) for j in range(m)]
+    if any(total > 1 for total in taken):
         return None
 
-    stage2 = build()
-    stage2.add_constraint({"eps": 1}, EQUAL, out1.objective_value)
-    stage2.set_objective(
-        {
-            f"p{j}": total
-            for j in range(m)
-            if (total := sum((v[i][j] for i in served), Fraction(0)))
-        }
+    prices = _eps_prices(
+        m,
+        [v[i] if i in served else () for i in range(n)],
+        [None if i in served else v[i] for i in range(n)],
+        cap=n if require_full_clearing else None,
+        tiebreak=taken,
     )
-    out2 = simplex_solve(stage2)
-    assert out2.status == OPTIMAL, "stage 2 restricts a nonempty bounded region"
+    if prices is None:
+        return None
 
-    prices = tuple(out2.assignment[f"p{j}"] for j in range(m))
-    allocation = [[Fraction(0)] * m for _ in range(n)]
-    for j in range(m):
-        if prices[j] > 0:
+    allocation = [list(v[i]) if i in served else [Fraction(0)] * m for i in range(n)]
+    if require_full_clearing:
+        spends = [bundle_price(prices, row) for row in allocation]
+        for j in range(m):
+            left = 1 - taken[j]
+            if prices[j] == 0:
+                allocation[0][j] += left
+                continue
             for i in range(n):
-                allocation[i][j] = out2.assignment[f"m{i}_{j}"] / prices[j]
-        else:
-            for i in served:
-                allocation[i][j] = v[i][j]
-            if require_full_clearing:
-                allocation[0][j] += 1 - sum(allocation[i][j] for i in range(n))
+                take = min(left, (1 - spends[i]) / prices[j])
+                if take > 0:
+                    allocation[i][j] += take
+                    spends[i] += take * prices[j]
+                    left -= take
 
     solution = CaeiSolution(
         tuple(tuple(row) for row in allocation),
@@ -400,22 +411,9 @@ def prices_for_allocation(instance: DivisibleInstance, allocation):
             raise ValueError(f"good {j} allocates {total}, not 1")
 
     served = compute_served(instance, rows)
-    lp = LinearProgram(sense="max")
-    for j in range(m):
-        lp.add_variable(f"p{j}")
-    lp.add_variable("eps", upper=1)
-    lp.set_objective({"eps": 1})
-    for i in range(n):
-        held = {f"p{j}": rows[i][j] for j in range(m) if rows[i][j]}
-        if held:
-            lp.add_constraint(held, LESS_EQUAL, 1)
-        if i not in served:
-            cost = {f"p{j}": instance.demands[i][j] for j in range(m) if instance.demands[i][j]}
-            lp.add_constraint({**cost, "eps": -1}, GREATER_EQUAL, 1)
-    out = simplex_solve(lp)
-    if out.status != OPTIMAL or out.objective_value <= 0:
-        return None
-    return tuple(out.assignment[f"p{j}"] for j in range(m))
+    return _eps_prices(
+        m, rows, [None if i in served else instance.demands[i] for i in range(n)]
+    )
 
 
 def allocation_for_prices(instance: DivisibleInstance, prices):

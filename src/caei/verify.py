@@ -278,36 +278,43 @@ def _subsets_by_welfare(n):
         yield from itertools.combinations(range(n), size)
 
 
-def _supporting_prices(costs, served, budget_cap, num_prices):
-    """Shared LP core: price vectors under which exactly the served
-    agents afford their demands.
+def _supporting_prices(afford, priced_out, num_prices, cap=None):
+    """Shared LP core: price vectors under which every agent affords
+    its ``afford`` bundle and is priced out of its ``priced_out`` one.
 
-    ``costs[i]`` maps price-variable index -> coefficient such that
-    sum(c * p) is the cost of agent i's demand.  Returns the price
-    list, or None.  ``budget_cap`` bounds the total price of all
-    resources (full clearing against unit budgets makes more money
-    than the agents hold impossible to collect).
+    Each entry maps price-variable name -> coefficient such that
+    sum(c * p) is the cost of that bundle; an empty ``afford`` entry or
+    a ``priced_out`` entry of None adds no row.  Returns the price
+    list, or None.  ``cap`` bounds the total price of all resources
+    (full clearing against unit budgets makes more money than the
+    agents hold impossible to collect).
     """
     lp = LinearProgram(sense="max")
     for k in range(num_prices):
         lp.add_variable(f"p{k}")
     lp.add_variable("eps", upper=1)
     lp.set_objective({"eps": 1})
-    for i, cost in enumerate(costs):
-        if not cost:
-            # a free demand can never be priced out, and is always afforded
-            if i not in served:
+    for held, wanted in zip(afford, priced_out):
+        if held:
+            lp.add_constraint(held, LESS_EQUAL, 1)
+        if wanted is not None:
+            if not wanted:
+                # a free demand can never be priced out
                 return None
-            continue
-        if i in served:
-            lp.add_constraint(cost, LESS_EQUAL, 1)
-        else:
-            lp.add_constraint({**cost, "eps": -1}, GREATER_EQUAL, 1)
-    lp.add_constraint({f"p{k}": 1 for k in range(num_prices)}, LESS_EQUAL, budget_cap)
+            lp.add_constraint({**wanted, "eps": -1}, GREATER_EQUAL, 1)
+    if cap is not None:
+        lp.add_constraint({f"p{k}": 1 for k in range(num_prices)}, LESS_EQUAL, cap)
     out = simplex_solve(lp)
     if out.status != OPTIMAL or out.objective_value <= 0:
         return None
     return [out.assignment[f"p{k}"] for k in range(num_prices)]
+
+
+def _served_rows(costs, served):
+    """Afford rows for the served agents, priced-out rows for the rest."""
+    afford = [cost if i in served else {} for i, cost in enumerate(costs)]
+    priced_out = [None if i in served else cost for i, cost in enumerate(costs)]
+    return afford, priced_out
 
 
 def _search_divisible(instance):
@@ -321,7 +328,7 @@ def _search_divisible(instance):
         costs = [
             {f"p{j}": v[i][j] for j in range(m) if v[i][j]} for i in range(n)
         ]
-        prices = _supporting_prices(costs, served, n, m)
+        prices = _supporting_prices(*_served_rows(costs, served), m, cap=n)
         if prices is None:
             continue
         allocation = [
@@ -375,7 +382,7 @@ def _search_cake(instance):
         costs = [
             {f"p{k}": 1 for k in range(len(cells)) if wants[i][k]} for i in range(n)
         ]
-        prices = _supporting_prices(costs, served, n, len(cells))
+        prices = _supporting_prices(*_served_rows(costs, served), len(cells), cap=n)
         if prices is None:
             continue
         pieces: list[list] = [[] for _ in range(n)]
@@ -425,8 +432,6 @@ def _search_cake(instance):
 
 
 def _search_discrete(instance):
-    from .discrete import prices_for_allocation_discrete
-
     n, m = instance.num_agents, instance.num_items
     singleton_agents = [i for i in range(n) if len(instance.demands[i]) == 1]
 
@@ -452,12 +457,19 @@ def _search_discrete(instance):
         # holder of a copy overspend.
         if any(i not in served for i in singleton_agents):
             continue
-        prices = prices_for_allocation_discrete(instance, allocation)
+        afford = [
+            {f"p{j}": c for j, c in enumerate(row) if c} for row in allocation
+        ]
+        priced_out = [
+            None if i in served else {f"p{j}": 1 for j in instance.demands[i]}
+            for i in range(n)
+        ]
+        prices = _supporting_prices(afford, priced_out, m)
         if prices is None:
             continue
         best = CaeiSolution(
             allocation,
-            prices,
+            tuple(prices),
             served,
             len(served),
             provenance="oracle_caei_search",

@@ -53,16 +53,30 @@ def criterion(number, description):
 # --- seeded generators (local RNGs, nothing global) ------------------------
 
 
-def random_divisible(rng, max_agents, max_goods):
+def typed_demands(rng, n, count, draw):
+    """n demands over ``count`` distinct draws: the first agents pin one
+    type each, the rest pick from the pool."""
+    pool = []
+    while len(pool) < count:
+        drawn = draw()
+        if drawn not in pool:
+            pool.append(drawn)
+    return [pool[i] if i < count else rng.choice(pool) for i in range(n)]
+
+
+def random_divisible(rng, max_agents, max_goods, max_types=None):
     n, m = rng.randint(1, max_agents), rng.randint(1, max_goods)
-    rows = []
-    for _ in range(n):
+
+    def draw():
         while True:
             row = tuple(F(rng.randint(0, 6), 6) for _ in range(m))
             if any(row):
-                break
-        rows.append(row)
-    return DivisibleInstance(rows)
+                return row
+
+    if max_types is None:
+        return DivisibleInstance([draw() for _ in range(n)])
+    count = min(rng.randint(1, max_types), n)
+    return DivisibleInstance(typed_demands(rng, n, count, draw))
 
 
 def random_contiguous_cake(rng, max_agents):
@@ -72,6 +86,18 @@ def random_contiguous_cake(rng, max_agents):
         cuts = sorted(rng.sample(range(0, 13), 2))
         spans.add((F(cuts[0], 12), F(cuts[1], 12)))
     return CakeInstance(tuple((s,) for s in sorted(spans)))
+
+
+def random_typed_cake(rng, max_agents, max_intervals, max_types):
+    n = rng.randint(1, max_agents)
+
+    def draw():
+        k = rng.randint(1, max_intervals)
+        cuts = sorted(rng.sample(range(0, 13), 2 * k))
+        return tuple((F(cuts[2 * t], 12), F(cuts[2 * t + 1], 12)) for t in range(k))
+
+    count = min(rng.randint(1, max_types), n)
+    return CakeInstance(typed_demands(rng, n, count, draw))
 
 
 def random_discrete(rng, max_agents, max_items, max_types=None):
@@ -85,13 +111,12 @@ def random_discrete(rng, max_agents, max_items, max_types=None):
             ]
         else:
             count = min(rng.randint(1, max_types), 2**m - 1, n)
-            pool = []
-            while len(pool) < count:
+
+            def draw():
                 mask = rng.randrange(1, 2**m)
-                drawn = frozenset(j for j in range(m) if mask >> j & 1)
-                if drawn not in pool:
-                    pool.append(drawn)
-            demands = [pool[i] if i < count else rng.choice(pool) for i in range(n)]
+                return frozenset(j for j in range(m) if mask >> j & 1)
+
+            demands = typed_demands(rng, n, count, draw)
         if frozenset().union(*demands) == frozenset(range(m)):
             return DiscreteInstance(quantities, demands)
 
@@ -200,6 +225,22 @@ def test_criterion_07():
         reference = oracle_caei_search(instance)
         assert best is not None and reference is not None
         assert best.welfare == reference.welfare
+
+    # duplicate agent types, where grouping identical agents matters
+    rng = random.Random(70709)
+    for _ in range(100):
+        instance = random_divisible(rng, max_agents=5, max_goods=3, max_types=3)
+        reference = oracle_caei_search(instance)
+        for grouping in ("by_types", "by_agents"):
+            best = max_welfare_caei(instance, grouping=grouping)
+            assert best.welfare == reference.welfare
+
+    rng = random.Random(70710)
+    for intervals in (1, 3):
+        for _ in range(30):
+            instance = random_typed_cake(rng, 6, intervals, max_types=3)
+            reference = oracle_caei_search(instance)
+            assert max_welfare_fixed_agents(instance).welfare == reference.welfare
 
     rng = random.Random(70708)
     for _ in range(200):
