@@ -13,10 +13,10 @@ routes produce competitive outcomes:
   at exactly 1.  The pricing certificate is re-verified and falls
   back to the exact LP search if the construction misses.
 
-* ``max_welfare_fixed_agents`` enumerates served sets over a refined
-  cell partition and lets the exact price-only subset LP decide
-  supportability.  Exponential in the number of agents, exact in
-  everything else.
+* ``max_welfare_fixed_agents`` enumerates unions of agent types over
+  a refined cell partition and lets the exact price-only subset LP
+  decide supportability.  Exponential in the number of distinct
+  demands, exact in everything else.
 
 * completion: ``price_curve_for_allocation`` / ``allocation_for_price_curve``
   recover the missing half of an outcome through the divisible-goods
@@ -306,14 +306,15 @@ def max_welfare_fixed_agents(instance: CakeInstance) -> CaeiSolution:
     """Exact maximum-satisfaction outcome by served-set enumeration.
 
     Cells of the demander-count refinement act as divisible goods,
-    and ``max_welfare_caei`` searches their agent subsets: a served
-    set is supportable iff some cell prices let its members afford
-    their cells while pricing everyone else out, at a total of at most
-    n.  Subsets run from largest to smallest, ties lexicographic, so
-    the first hit is optimal.  Exponential in agents by design.
+    and ``max_welfare_caei`` searches the unions of their agent types:
+    a served set is supportable iff some cell prices let its members
+    afford their cells while pricing everyone else out, at a total of
+    at most n.  Candidates run from largest to smallest, ties
+    lexicographic, so the first hit is optimal.  Exponential in the
+    number of distinct demands by design.
     """
     partition = refine_partition(instance, (), "per_demander_count")
-    inner = max_welfare_caei(_cell_goods(instance, partition), grouping="by_agents")
+    inner = max_welfare_caei(_cell_goods(instance, partition))
     assert inner is not None, "the empty served set is always supportable on cake"
     solution = CaeiSolution(
         _carve_cells(partition.cells, inner.allocation),

@@ -71,6 +71,13 @@ def parse_number(token, where: str) -> Fraction:
     raise CliError(f"{where}: expected a number, got {type(token).__name__}")
 
 
+def parse_count(token, where: str) -> int:
+    value = parse_number(token, where)
+    if value.denominator != 1:
+        raise CliError(f"{where}: expected a whole number, got {token!r}")
+    return value.numerator
+
+
 def format_number(value, exact: bool) -> str:
     if exact:
         return str(Fraction(value))
@@ -115,11 +122,10 @@ def instance_from_json(data):
                 demands.append(intervals)
             return model, CakeInstance(demands)
         quantities = [
-            int(parse_number(q, f"quantities[{j}]"))
-            for j, q in enumerate(data["quantities"])
+            parse_count(q, f"quantities[{j}]") for j, q in enumerate(data["quantities"])
         ]
         demands = [
-            [int(parse_number(v, f"demands[{i}][{k}]")) for k, v in enumerate(row)]
+            [parse_count(v, f"demands[{i}][{k}]") for k, v in enumerate(row)]
             for i, row in enumerate(data["demands"])
         ]
         return model, DiscreteInstance(quantities, demands)
@@ -204,8 +210,11 @@ def solution_from_json(data, model: str) -> CaeiSolution:
             )
             if model == "discrete":
                 allocation = tuple(
-                    tuple(int(parse_number(c, "allocation")) for c in row)
-                    for row in data["allocation"]
+                    tuple(
+                        parse_count(c, f"allocation[{i}][{j}]")
+                        for j, c in enumerate(row)
+                    )
+                    for i, row in enumerate(data["allocation"])
                 )
             else:
                 allocation = tuple(
@@ -215,8 +224,10 @@ def solution_from_json(data, model: str) -> CaeiSolution:
         return CaeiSolution(
             allocation=allocation,
             prices=prices,
-            served=frozenset(data["served"]),
-            welfare=int(data["welfare"]),
+            served=frozenset(
+                parse_count(i, f"served[{k}]") for k, i in enumerate(data["served"])
+            ),
+            welfare=parse_count(data["welfare"], "welfare"),
             exact=bool(data.get("exact", True)),
             provenance=str(data.get("provenance", "")),
         )
@@ -263,11 +274,8 @@ def cmd_maxwelfare(args) -> int:
     model, instance = instance_from_json(load_json_file(args.file))
     if args.relaxed and model != "discrete":
         raise CliError("--relaxed applies to discrete instances only")
-    if args.group is not None and model != "divisible":
-        raise CliError("--group applies to divisible instances only")
     if model == "divisible":
-        grouping = {"types": "by_types", "agents": "by_agents"}[args.group or "types"]
-        solution = divisible.max_welfare_caei(instance, grouping=grouping)
+        solution = divisible.max_welfare_caei(instance)
     elif model == "cake":
         solution = cake.max_welfare_fixed_agents(instance)
     else:
@@ -441,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxwelfare", help="maximize the number of satisfied agents")
     p.add_argument("file", help="instance JSON file")
-    p.add_argument("--group", choices=("types", "agents"))
     p.add_argument("--relaxed", action="store_true")
     p.add_argument("--out", help="write the solution here instead of stdout")
     p.set_defaults(handler=cmd_maxwelfare)

@@ -102,15 +102,13 @@ def solve_caei(instance: DiscreteInstance) -> CaeiSolution | None:
     )
 
 
-def max_welfare_relaxed(
-    instance: DiscreteInstance, grouping: str = "by_types"
-) -> CaeiSolution:
+def max_welfare_relaxed(instance: DiscreteInstance) -> CaeiSolution:
     """Welfare-maximizing competitive outcome when items may go unsold.
 
     Each item type becomes one divisible good of which a single-minded
-    agent needs a 1/quantity share per copy; the divisible welfare
-    search runs without the everything-must-sell requirement, and the
-    fractional optimum rounds down to whole copies without changing
+    agent needs a 1/quantity share per copy; the divisible search over
+    agent types runs without the everything-must-sell requirement, and
+    the fractional optimum rounds down to whole copies without changing
     anyone's satisfaction or any price verdict.
     """
     quantities = instance.quantities
@@ -123,7 +121,7 @@ def max_welfare_relaxed(
             for demand in instance.demands
         ]
     )
-    fractional = max_welfare_caei(reduced, grouping, require_full_clearing=False)
+    fractional = max_welfare_caei(reduced, require_full_clearing=False)
     assert fractional is not None, "a relaxed market can always price everyone out"
     allocation = tuple(
         tuple(

@@ -12,8 +12,8 @@ Two routes to a competitive allocation from equal incomes:
   rational LP over the prices alone whether the served agents can
   afford their demands while everyone else is priced out; leftover
   goods are then water-filled into the unspent budgets.  Enumerating
-  subsets from large to small (``max_welfare_caei``) maximizes the
-  number of satisfied agents exactly.
+  unions of agent types from large to small (``max_welfare_caei``)
+  maximizes the number of satisfied agents exactly.
 
 ``prices_for_allocation`` and ``allocation_for_prices`` complete a
 half-specified outcome: given one side, find the other or report that
@@ -354,28 +354,23 @@ def subset_caei_lp(
 
 def max_welfare_caei(
     instance: DivisibleInstance,
-    grouping: str = "by_types",
     require_full_clearing: bool = True,
 ) -> CaeiSolution | None:
-    """Maximum-satisfaction competitive outcome by subset enumeration.
+    """Maximum-satisfaction competitive outcome by a search over agent types.
 
-    ``grouping="by_types"`` keeps identical agents together (they are
-    interchangeable: one served while its twin is priced out can never
-    happen); ``"by_agents"`` enumerates raw agent subsets.  Candidate
-    sets are tried from most agents to fewest, ties in lexicographic
-    order, so the first supportable one is the answer.
+    Candidate served sets are the unions of types (agents with
+    identical demands): a set that serves one agent and prices out its
+    twin is never supportable, since the same demand cannot cost at
+    most 1 and more than 1 at once.  Candidates are tried from most
+    agents to fewest, ties in lexicographic order of the agents, so
+    the first supportable one is the answer.  The search pays 2^types
+    subset LPs at most.
     """
-    if grouping == "by_types":
-        units = [list(members) for members in group_types(instance).members]
-    elif grouping == "by_agents":
-        units = [[i] for i in range(instance.num_agents)]
-    else:
-        raise ValueError(f"unknown grouping {grouping!r}")
-
+    types = group_types(instance)
     candidates = []
-    for mask in range(1 << len(units)):
+    for mask in range(1 << len(types)):
         agents = sorted(
-            i for k, unit in enumerate(units) if mask >> k & 1 for i in unit
+            i for k, members in enumerate(types) if mask >> k & 1 for i in members
         )
         candidates.append((-len(agents), tuple(agents)))
     candidates.sort()

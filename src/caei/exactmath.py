@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-Rational = Fraction
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -166,9 +164,8 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
 
     n_real = len(columns)
     # Initial basis: reuse a slack column where it survived with +1,
-    # otherwise add an artificial column.
+    # otherwise add an artificial column (artificials come last).
     basis: list[int] = []
-    artificials: set[int] = set()
     for i, row in enumerate(rows):
         j = slack_col_of_row.get(i)
         if j is not None and row[j] == 1:
@@ -176,7 +173,6 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
         else:
             k = len(columns)
             columns.append((f"_artificial{i}", +1))
-            artificials.add(k)
             for r, other in enumerate(rows):
                 other.append(Fraction(1) if r == i else Fraction(0))
             basis.append(k)
@@ -196,7 +192,7 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
                 tableau[i] = [a - factor * b for a, b in zip(row, prow)]
         basis[r] = c
 
-    def run_phase(cost, allowed):
+    def run_phase(cost):
         """Minimize cost.x over the current tableau; returns status.
 
         `reduced` is the cost row carried along as one more tableau row:
@@ -211,7 +207,7 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
         while True:
             enter = -1
             for j in range(len(columns)):
-                if j in allowed and reduced[j] < 0:
+                if reduced[j] < 0:
                     enter = j
                     break
             if enter < 0:
@@ -236,17 +232,14 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
                 reduced = [a - factor * t for a, t in zip(reduced, prow)]
 
     # Phase 1: drive artificials to zero.
-    if artificials:
-        cost1 = [Fraction(0)] * len(columns)
-        for j in artificials:
-            cost1[j] = Fraction(1)
-        allowed1 = set(range(len(columns)))
-        status, value = run_phase(cost1, allowed1)
+    if len(columns) > n_real:
+        cost1 = [Fraction(0)] * n_real + [Fraction(1)] * (len(columns) - n_real)
+        status, value = run_phase(cost1)
         if status != OPTIMAL or value != 0:
             return LpOutcome(INFEASIBLE)
         # Pivot surviving artificials out of the basis.
         for r in range(len(tableau) - 1, -1, -1):
-            if basis[r] in artificials:
+            if basis[r] >= n_real:
                 target = -1
                 for j in range(n_real):
                     if tableau[r][j] != 0:
@@ -257,8 +250,11 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
                 else:
                     del tableau[r]
                     del basis[r]
+        # No artificial is basic any more: drop their columns.
+        tableau = [row[:n_real] + row[-1:] for row in tableau]
+        del columns[n_real:]
 
-    # Phase 2: the real objective, artificial columns banned.
+    # Phase 2: the real objective.
     cost2 = [Fraction(0)] * len(columns)
     sign = Fraction(-1) if lp.sense == "max" else Fraction(1)
     for name, c in lp._objective.items():
@@ -267,8 +263,7 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
         cost2[j] += sign * c
         if free:
             cost2[j + 1] -= sign * c
-    allowed2 = set(range(len(columns))) - artificials
-    status, _value = run_phase(cost2, allowed2)
+    status, _value = run_phase(cost2)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 

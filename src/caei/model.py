@@ -12,13 +12,12 @@ the interval [0, 1]; all exact quantities are `fractions.Fraction`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import as_fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
 # pieces of cake
@@ -86,10 +85,6 @@ def piece_difference(a: Piece, b: Piece) -> Piece:
             segments = next_segments
         out.extend(segments)
     return canonicalize_piece(out)
-
-
-def piece_union(a: Piece, b: Piece) -> Piece:
-    return canonicalize_piece(list(a) + list(b))
 
 
 def piece_contains(outer: Piece, inner: Piece) -> bool:
@@ -301,31 +296,12 @@ def demand_bundle(instance: Instance, agent: int):
 # agent types
 
 
-@dataclass(frozen=True)
-class TypePartition:
+def group_types(instance: Instance) -> tuple[tuple[int, ...], ...]:
     """Agents grouped by identical demands, in order of first appearance."""
-
-    type_of: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_types(self) -> int:
-        return len(self.members)
-
-
-def group_types(instance: Instance) -> TypePartition:
-    seen: dict = {}
-    type_of = []
-    members: list[list[int]] = []
-    for i in range(instance.num_agents):
-        key = instance.demands[i]
-        if key not in seen:
-            seen[key] = len(members)
-            members.append([])
-        t = seen[key]
-        type_of.append(t)
-        members[t].append(i)
-    return TypePartition(tuple(type_of), tuple(tuple(g) for g in members))
+    members: dict = {}
+    for i, demand in enumerate(instance.demands):
+        members.setdefault(demand, []).append(i)
+    return tuple(tuple(group) for group in members.values())
 
 
 # ---------------------------------------------------------------------------

@@ -170,17 +170,8 @@ def is_envy_free(instance: Instance, allocation) -> bool:
     for i in range(instance.num_agents):
         if single_minded_utility(instance, i, allocation[i]) == 1:
             continue
-        demand = instance.demands[i]
         for k in range(instance.num_agents):
-            if k == i:
-                continue
-            if isinstance(instance, DivisibleInstance):
-                fits = all(x >= d for x, d in zip(allocation[k], demand))
-            elif isinstance(instance, CakeInstance):
-                fits = piece_contains(allocation[k], demand)
-            else:
-                fits = all(allocation[k][j] >= 1 for j in demand)
-            if fits:
+            if k != i and single_minded_utility(instance, i, allocation[k]) == 1:
                 return False
     return True
 

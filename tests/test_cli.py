@@ -60,6 +60,33 @@ def test_float_literals_rejected(capsys, tmp_path):
     assert "floating-point" in err
 
 
+@pytest.mark.parametrize(
+    "target,path,where",
+    [
+        ("instance", ("quantities", 0), "quantities[0]"),
+        ("instance", ("demands", 1, 0), "demands[1][0]"),
+        ("solution", ("allocation", 0, 0), "allocation[0][0]"),
+        ("solution", ("served", 0), "served[0]"),
+        ("solution", ("welfare",), "welfare"),
+    ],
+    ids=["quantity", "demand-index", "copy-count", "served", "welfare"],
+)
+def test_fractional_counts_rejected(capsys, tmp_path, target, path, where):
+    files = {"instance": tmp_path / "instance.json", "solution": tmp_path / "solution.json"}
+    files["instance"].write_text(Path(DISCRETE).read_text())
+    run(capsys, "solve", DISCRETE, "--out", str(files["solution"]))
+    data = json.loads(files[target].read_text())
+    *outer, last = path
+    node = data
+    for key in outer:
+        node = node[key]
+    node[last] = "3/2"
+    files[target].write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(files["instance"]), str(files["solution"]))
+    assert code == EXIT_USAGE
+    assert f"{where}: expected a whole number" in err
+
+
 def test_unknown_model_rejected(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": "hybrid", "demands": []}')
@@ -89,7 +116,7 @@ def test_solve_five_agent_golden(capsys):
 
 
 def test_maxwelfare_two_agent_golden(capsys):
-    code, out, _ = run(capsys, "maxwelfare", DIVISIBLE, "--group", "agents")
+    code, out, _ = run(capsys, "maxwelfare", DIVISIBLE)
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["welfare"] == 2
@@ -230,7 +257,7 @@ def test_gen_types_count_is_exact(capsys, model, seed):
     )
     assert code == EXIT_OK
     _, instance = instance_from_json(json.loads(out))
-    assert len(group_types(instance).members) == 2
+    assert len(group_types(instance)) == 2
 
 
 def test_gen_contiguous_single_intervals(capsys):

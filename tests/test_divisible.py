@@ -145,22 +145,11 @@ def test_max_welfare_two_agents(two_agents):
     assert sol.prices == (F(1, 3), F(5, 3))
 
 
-def test_max_welfare_groupings_agree(two_agents):
-    by_types = max_welfare_caei(two_agents, grouping="by_types")
-    by_agents = max_welfare_caei(two_agents, grouping="by_agents")
-    assert by_types.welfare == by_agents.welfare == 2
-
-
 def test_max_welfare_identical_agents():
     inst = DivisibleInstance(((F(3, 5),), (F(3, 5),), (F(3, 5),)))
     sol = max_welfare_caei(inst)
     assert sol.welfare == 0
     assert verify_caei(inst, sol).is_caei
-
-
-def test_max_welfare_rejects_unknown_grouping(two_agents):
-    with pytest.raises(ValueError):
-        max_welfare_caei(two_agents, grouping="by_moons")
 
 
 def test_max_welfare_matches_oracle():
@@ -175,7 +164,7 @@ def test_max_welfare_matches_oracle():
             inst = DivisibleInstance(demands)
         except ValueError:
             continue
-        sol = max_welfare_caei(inst, grouping="by_agents")
+        sol = max_welfare_caei(inst)
         oracle = oracle_caei_search(inst)
         assert sol is not None and oracle is not None
         assert sol.welfare == oracle.welfare

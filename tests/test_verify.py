@@ -179,6 +179,12 @@ def test_envy_detected_when_somebody_holds_your_demand():
     assert not is_envy_free(inst, allocation)
 
 
+def test_envy_rejects_ragged_bundle():
+    inst = DivisibleInstance(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
+    with pytest.raises(ValueError):
+        is_envy_free(inst, ((F(0), F(0)), (F(1),)))
+
+
 def test_envy_free_when_nobody_covets(divisible_solution):
     inst, sol = divisible_solution
     assert is_envy_free(inst, sol.allocation)
