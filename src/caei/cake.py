@@ -21,6 +21,11 @@ routes produce competitive outcomes:
 * completion: ``price_curve_for_allocation`` / ``allocation_for_price_curve``
   recover the missing half of an outcome through the divisible-goods
   reductions on the induced cell partition.
+
+Piece queries cost O(|piece| log cells) exact steps: the cells inside
+a demand come from ``model.cells_within`` (a bisected run of
+breakpoints per interval), pieces are priced by bisecting the curve,
+and ``verify_caei`` finds overlapping pieces by one sorted sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .model import (
     DivisibleInstance,
     PriceCurve,
     canonicalize_piece,
-    piece_contains,
+    cells_within,
     piece_intersection,
     piece_difference,
     piece_length,
@@ -97,12 +102,14 @@ def refine_partition(
                 points.add((lo + hi) / 2)
     if split_rule == "per_demander_count":
         base = sorted(points)
-        for lo, hi in zip(base, base[1:]):
-            demanders = sum(
-                1 for piece in instance.demands if piece_contains(piece, ((lo, hi),))
-            )
-            for t in range(1, demanders):
-                points.add(lo + (hi - lo) * t / demanders)
+        demanders = [0] * (len(base) - 1)
+        for piece in instance.demands:
+            for k in cells_within(base, piece):
+                demanders[k] += 1
+        for k, count in enumerate(demanders):
+            lo, hi = base[k], base[k + 1]
+            for t in range(1, count):
+                points.add(lo + (hi - lo) * t / count)
     elif split_rule not in ("midpoints", "none"):
         raise ValueError(f"unknown split rule {split_rule!r}")
     return Partition(tuple(sorted(points)))
@@ -110,14 +117,11 @@ def refine_partition(
 
 def _cell_goods(instance: CakeInstance, partition: Partition) -> DivisibleInstance:
     # each cell becomes a divisible good wanted fully or not at all
-    cells = partition.cells
-    rows = tuple(
-        tuple(
-            Fraction(1) if piece_contains(piece, (cell,)) else Fraction(0)
-            for cell in cells
-        )
-        for piece in instance.demands
-    )
+    width = len(partition.breakpoints) - 1
+    rows = []
+    for piece in instance.demands:
+        inside = set(cells_within(partition.breakpoints, piece))
+        rows.append(tuple(Fraction(1) if k in inside else Fraction(0) for k in range(width)))
     return DivisibleInstance(rows)
 
 
@@ -155,17 +159,12 @@ def solve_existence(instance: CakeInstance) -> CaeiSolution:
     """
     partition = refine_partition(instance, (), "midpoints")
     cells = partition.cells
-    wanted = [
-        [piece_contains(piece, (cell,)) for cell in cells]
-        for piece in instance.demands
-    ]
-    items = [k for k in range(len(cells)) if any(row[k] for row in wanted)]
+    wanted = [cells_within(partition.breakpoints, piece) for piece in instance.demands]
+    items = sorted(set().union(*wanted))
+    item_of = {k: t for t, k in enumerate(items)}
     reduced = DiscreteInstance(
         (1,) * len(items),
-        tuple(
-            frozenset(t for t, k in enumerate(items) if row[k])
-            for row in wanted
-        ),
+        tuple(frozenset(item_of[k] for k in row) for row in wanted),
     )
     inner = solve_caei(reduced)
     assert inner is not None, "midpoint split leaves no singleton demands"
@@ -178,7 +177,7 @@ def solve_existence(instance: CakeInstance) -> CaeiSolution:
         owner = next(i for i in range(n) if inner.allocation[i][t])
         pieces[owner].append(cells[k])
     for k in range(len(cells)):
-        if k not in items:
+        if k not in item_of:
             pieces[0].append(cells[k])
 
     solution = CaeiSolution(

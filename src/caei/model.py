@@ -12,8 +12,10 @@ the interval [0, 1]; all exact quantities are `fractions.Fraction`
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactmath import as_fraction
 
@@ -24,6 +26,22 @@ ZERO = Fraction(0)
 
 Interval = tuple[Fraction, Fraction]
 Piece = tuple[Interval, ...]
+
+
+def _merged_spans(intervals) -> list[list]:
+    """The union of raw intervals as sorted, disjoint [lo, hi] spans.
+
+    Touching intervals merge and empty or reversed ones are dropped;
+    nothing is validated or converted.
+    """
+    merged: list[list] = []
+    for lo, hi in sorted(interval for interval in intervals if interval[0] < interval[1]):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return merged
 
 
 def canonicalize_piece(intervals) -> Piece:
@@ -41,16 +59,8 @@ def canonicalize_piece(intervals) -> Piece:
             raise ValueError(f"interval [{lo}, {hi}] has negative length")
         if not (0 <= lo and hi <= 1):
             raise ValueError(f"interval [{lo}, {hi}] leaves the cake [0, 1]")
-        if lo < hi:
-            cleaned.append((lo, hi))
-    cleaned.sort()
-    merged: list[list[Fraction]] = []
-    for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+        cleaned.append((lo, hi))
+    return tuple((lo, hi) for lo, hi in _merged_spans(cleaned))
 
 
 def piece_length(piece: Piece) -> Fraction:
@@ -87,9 +97,34 @@ def piece_difference(a: Piece, b: Piece) -> Piece:
     return canonicalize_piece(out)
 
 
-def piece_contains(outer: Piece, inner: Piece) -> bool:
-    """Containment up to measure zero (shared endpoints don't matter)."""
-    return piece_length(piece_intersection(outer, inner)) == piece_length(inner)
+def piece_contains(outer, inner: Piece) -> bool:
+    """Containment up to measure zero (shared endpoints don't matter).
+
+    ``inner`` is canonical; ``outer`` may be any list of intervals.
+    Each inner interval must lie inside one merged span of ``outer``;
+    both run in increasing order, so one walk finds the spans.
+    """
+    spans = _merged_spans(outer)
+    k = 0
+    for lo, hi in inner:
+        while k < len(spans) and spans[k][1] < hi:
+            k += 1
+        if k == len(spans) or spans[k][0] > lo:
+            return False
+    return True
+
+
+def cells_within(breakpoints, piece: Piece) -> list[int]:
+    """Indices k of the cells [breakpoints[k], breakpoints[k+1]] that lie
+    inside the canonical piece, in increasing order.
+
+    Each interval of the piece covers a run of cells found by bisecting
+    the sorted ``breakpoints``: O(|piece| log cells + cells returned).
+    """
+    out: list[int] = []
+    for lo, hi in piece:
+        out.extend(range(bisect_left(breakpoints, lo), bisect_right(breakpoints, hi) - 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +261,32 @@ class PriceCurve:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "densities", dens)
 
-    def piece_price(self, piece: Piece):
+    @cached_property
+    def _cumulative(self) -> tuple[Fraction, ...]:
+        bps = self.breakpoints
+        out = [ZERO]
+        for k, d in enumerate(self.densities):
+            out.append(out[-1] + d * (bps[k + 1] - bps[k]))
+        return tuple(out)
+
+    def piece_price(self, piece) -> Fraction:
+        """Price of the union of the piece's intervals clipped to [0, 1].
+
+        Each merged span is priced by bisecting ``breakpoints`` for the
+        run of cells it meets: the two end cells pro rata, the whole
+        cells between them as one difference of a cached running total.
+        """
+        bps, densities, cum = self.breakpoints, self.densities, self._cumulative
         total = ZERO
-        for k, density in enumerate(self.densities):
-            if density:
-                lo, hi = self.breakpoints[k], self.breakpoints[k + 1]
-                overlap = piece_intersection(piece, ((lo, hi),))
-                total += density * piece_length(overlap)
+        for lo, hi in _merged_spans((max(lo, ZERO), min(hi, 1)) for lo, hi in piece):
+            first = bisect_right(bps, lo) - 1
+            last = bisect_left(bps, hi) - 1
+            if first == last:
+                total += densities[first] * (hi - lo)
+                continue
+            total += densities[first] * (bps[first + 1] - lo)
+            total += cum[last] - cum[first + 1]
+            total += densities[last] * (hi - bps[last])
         return total
 
 

@@ -9,6 +9,7 @@ independent to be measured against.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +22,10 @@ from .model import (
     DivisibleInstance,
     Instance,
     PriceCurve,
+    ZERO,
     bundle_price,
     canonicalize_piece,
+    cells_within,
     compute_served,
     demand_bundle,
     piece_contains,
@@ -72,6 +75,8 @@ def verify_caei(
     n = instance.num_agents
     if len(allocation) != n:
         raise ValueError(f"allocation covers {len(allocation)} of {n} agents")
+    if tolerance < 0:
+        raise ValueError("tolerance must be nonnegative")
 
     partition_ok = _check_partition(instance, allocation, tolerance, relaxed, violations)
 
@@ -98,6 +103,9 @@ def verify_caei(
                 violations.append(
                     Violation(f"agent {i}", "affordable unserved demand", 1 - cost)
                 )
+    for i in sorted(i for i in solution.served if not 0 <= i < n):
+        label_ok = False
+        violations.append(Violation(f"agent {i}", "served index out of range"))
 
     is_caei = partition_ok and budgets_ok and optimal_bundles_ok and label_ok
     is_ceei = is_caei and all(abs(s - 1) <= tolerance for s in spends)
@@ -139,8 +147,7 @@ def _check_partition(instance, allocation, tolerance, relaxed, violations):
         covered = Fraction(0)
         for piece in pieces:
             covered += piece_length(piece)
-        for i, j in itertools.combinations(range(len(pieces)), 2):
-            overlap = piece_length(piece_intersection(pieces[i], pieces[j]))
+        for (i, j), overlap in sorted(_overlaps(pieces).items()):
             if overlap > tolerance:
                 ok = False
                 violations.append(Violation(f"agents {i},{j}", "overlapping pieces", overlap))
@@ -164,14 +171,65 @@ def _check_partition(instance, allocation, tolerance, relaxed, violations):
     return ok
 
 
+def _overlaps(pieces):
+    """Overlap length of each pair of canonical pieces that overlap,
+    keyed (i, j) with i < j.
+
+    One sweep over all intervals sorted by start: an interval can only
+    overlap the earlier-starting ones that are still open at its start.
+    """
+    overlaps = {}
+    open_ends = []  # (end, owner) of the intervals started so far
+    for lo, hi, k in sorted((lo, hi, k) for k, piece in enumerate(pieces) for lo, hi in piece):
+        open_ends = [(end, owner) for end, owner in open_ends if end > lo]
+        for end, owner in open_ends:
+            pair = (owner, k) if owner < k else (k, owner)
+            overlaps[pair] = overlaps.get(pair, ZERO) + min(hi, end) - lo
+        open_ends.append((hi, k))
+    return overlaps
+
+
 def is_envy_free(instance: Instance, allocation) -> bool:
     """No unsatisfied agent sees its full demand sitting in someone
-    else's bundle.  Satisfied agents never envy: utility is 0/1."""
+    else's bundle.  Satisfied agents never envy: utility is 0/1.
+
+    On cake the bundles are canonicalized first (a malformed interval
+    raises ValueError), and an unsatisfied agent is checked only
+    against the bundles that cover the left end of its demand.
+    """
+    if isinstance(instance, CakeInstance):
+        return _cake_envy_free(instance, allocation)
     for i in range(instance.num_agents):
         if single_minded_utility(instance, i, allocation[i]) == 1:
             continue
         for k in range(instance.num_agents):
             if k != i and single_minded_utility(instance, i, allocation[k]) == 1:
+                return False
+    return True
+
+
+def _cake_envy_free(instance: CakeInstance, allocation) -> bool:
+    # a bundle holding agent i's demand covers its left end, so one
+    # sweep over the bundle intervals in order of start, with the open
+    # ones in a heap by end, finds every candidate owner
+    demands = instance.demands
+    bundles = [canonicalize_piece(allocation[k]) for k in range(instance.num_agents)]
+    envious = sorted(
+        (demand[0][0], i)
+        for i, demand in enumerate(demands)
+        if not piece_contains(bundles[i], demand)
+    )
+    starts = sorted((lo, hi, k) for k, bundle in enumerate(bundles) for lo, hi in bundle)
+    open_ends: list = []  # heap of (end, owner)
+    t = 0
+    for point, i in envious:
+        while t < len(starts) and starts[t][0] <= point:
+            heapq.heappush(open_ends, starts[t][1:])
+            t += 1
+        while open_ends and open_ends[0][0] <= point:
+            heapq.heappop(open_ends)
+        for _, k in open_ends:
+            if k != i and piece_contains(bundles[k], demands[i]):
                 return False
     return True
 
@@ -360,31 +418,28 @@ def _search_cake(instance):
     n = instance.num_agents
     points = sorted({p for piece in instance.demands for lo, hi in piece for p in (lo, hi)} | {Fraction(0), Fraction(1)})
     cells = [((lo, hi),) for lo, hi in zip(points, points[1:])]
-    wants = [
-        [piece_contains(instance.demands[i], cell) for cell in cells]
-        for i in range(n)
-    ]
+    wants = [set(cells_within(points, demand)) for demand in instance.demands]
     for subset in _subsets_by_welfare(n):
         served = set(subset)
         if any(
-            sum(1 for i in served if wants[i][k]) > 1 for k in range(len(cells))
+            sum(1 for i in served if k in wants[i]) > 1 for k in range(len(cells))
         ):
             continue
         costs = [
-            {f"p{k}": 1 for k in range(len(cells)) if wants[i][k]} for i in range(n)
+            {f"p{k}": 1 for k in range(len(cells)) if k in wants[i]} for i in range(n)
         ]
         prices = _supporting_prices(*_served_rows(costs, served), len(cells), cap=n)
         if prices is None:
             continue
         pieces: list[list] = [[] for _ in range(n)]
         spends = [
-            sum(prices[k] for k in range(len(cells)) if wants[i][k])
+            sum(prices[k] for k in range(len(cells)) if k in wants[i])
             if i in served
             else Fraction(0)
             for i in range(n)
         ]
         for k, cell in enumerate(cells):
-            owner = next((i for i in served if wants[i][k]), None)
+            owner = next((i for i in served if k in wants[i]), None)
             if owner is not None:
                 pieces[owner].append(cell[0])
                 continue

@@ -183,6 +183,20 @@ def test_verify_tampered_prices(capsys, tmp_path):
     assert "overspends" in {v["condition"] for v in report["violations"]}
 
 
+@pytest.mark.parametrize("served", [[0, 1, 7], [-1, 0, 1]])
+def test_verify_out_of_range_served(capsys, tmp_path, served):
+    out_file = tmp_path / "solution.json"
+    run(capsys, "solve", DIVISIBLE, "--out", str(out_file))
+    payload = json.loads(out_file.read_text())
+    payload["served"], payload["welfare"] = served, 3
+    out_file.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "verify", DIVISIBLE, str(out_file))
+    assert code == EXIT_NOT_VERIFIED
+    report = json.loads(out)
+    assert report["is_caei"] is False
+    assert "served index out of range" in {v["condition"] for v in report["violations"]}
+
+
 def test_verify_rejects_mismatched_shapes(capsys, tmp_path):
     out_file = tmp_path / "solution.json"
     run(capsys, "solve", DISCRETE, "--out", str(out_file))
@@ -272,19 +286,27 @@ def test_gen_contiguous_single_intervals(capsys):
 
 
 def test_gen_outputs_solve_and_reverify(capsys, tmp_path):
-    for model, seed in (("divisible", 3), ("cake", 4), ("discrete", 5)):
-        inst_file = tmp_path / f"{model}.json"
-        sol_file = tmp_path / f"{model}_sol.json"
-        run(
-            capsys,
-            *("gen", "--model", model, "--agents", "3", "--goods", "2"),
-            *("--seed", str(seed), "--out", str(inst_file)),
-        )
-        code, _, _ = run(capsys, "solve", str(inst_file), "--out", str(sol_file))
-        if code == EXIT_INFEASIBLE:
-            continue
-        assert code == EXIT_OK
-        assert run(capsys, "verify", str(inst_file), str(sol_file))[0] == EXIT_OK
+    cases = [
+        ("divisible", 3, ("--agents", "3", "--goods", "2")),
+        ("divisible", 8, ("--agents", "6", "--goods", "3", "--types", "3")),
+        ("discrete", 5, ("--agents", "3", "--goods", "2")),
+        ("discrete", 2, ("--agents", "8", "--goods", "4")),
+        ("cake", 4, ("--agents", "3", "--goods", "2")),
+        ("cake", 6, ("--agents", "60", "--goods", "3")),
+        ("cake", 7, ("--agents", "60", "--goods", "3", "--types", "20")),
+        ("cake", 9, ("--agents", "60", "--goods", "1", "--contiguous")),
+    ]
+    for model, seed, sizes in cases:
+        inst_file = tmp_path / f"{model}{seed}.json"
+        sol_file = tmp_path / f"{model}{seed}_sol.json"
+        argv = ("gen", "--model", model, *sizes, "--seed", str(seed), "--out", str(inst_file))
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert run(capsys, "solve", str(inst_file), "--out", str(sol_file))[0] == EXIT_OK
+        code, out, _ = run(capsys, "verify", str(inst_file), str(sol_file), "--tol", "0")
+        assert code == EXIT_OK and json.loads(out)["is_caei"] is True
+        text = sol_file.read_text()
+        solution = solution_from_json(json.loads(text), model)
+        assert json.dumps(solution_to_json(model, solution), indent=2) + "\n" == text
 
 
 def test_gen_rejects_impossible_requests(capsys):

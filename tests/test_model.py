@@ -13,6 +13,7 @@ from caei.model import (
     PriceCurve,
     bundle_price,
     canonicalize_piece,
+    cells_within,
     compute_served,
     demand_bundle,
     group_types,
@@ -28,6 +29,33 @@ raw_intervals = st.lists(
     st.tuples(fractions_01, fractions_01).map(lambda p: (min(p), max(p))),
     max_size=6,
 )
+# endpoints on a coarse grid reaching past [0, 1], so that unsorted,
+# overlapping, touching, zero-length and escaping intervals all occur
+grid = st.integers(-3, 15).map(lambda k: F(k, 12))
+messy_intervals = st.lists(st.tuples(grid, grid), max_size=6)
+
+
+@st.composite
+def price_curves(draw):
+    inner = draw(st.lists(st.integers(1, 23), unique=True, max_size=8))
+    breakpoints = [F(0), *sorted(F(k, 24) for k in inner), F(1)]
+    density = st.one_of(st.just(F(0)), st.fractions(0, 5, max_denominator=7))
+    densities = draw(st.lists(density, min_size=len(breakpoints) - 1, max_size=len(breakpoints) - 1))
+    return PriceCurve(breakpoints, densities)
+
+
+def reference_contains(outer, inner):
+    """Containment by its definition: the overlap is as long as ``inner``."""
+    return piece_length(piece_intersection(outer, inner)) == piece_length(inner)
+
+
+def reference_price(curve, piece):
+    """Price by its definition: each cell's density times its overlap."""
+    cells = zip(curve.breakpoints, curve.breakpoints[1:])
+    return sum(
+        (d * piece_length(piece_intersection(piece, (cell,))) for d, cell in zip(curve.densities, cells)),
+        F(0),
+    )
 
 
 # -- validation --------------------------------------------------------------
@@ -109,6 +137,23 @@ def test_difference_and_intersection_partition(a_raw, b_raw):
     assert piece_length(union) == piece_length(a)
 
 
+@given(messy_intervals, raw_intervals)
+def test_containment_matches_intersection_length(outer, inner_raw):
+    inner = canonicalize_piece(inner_raw)
+    assert piece_contains(outer, inner) == reference_contains(outer, inner)
+    assert piece_contains(canonicalize_piece(inner_raw + [(F(0), F(1, 3))]), inner)
+
+
+@given(price_curves(), raw_intervals)
+def test_cells_within_matches_containment(curve, raw):
+    piece = canonicalize_piece(raw)
+    bps = curve.breakpoints
+    expected = [
+        k for k in range(len(bps) - 1) if reference_contains(piece, ((bps[k], bps[k + 1]),))
+    ]
+    assert cells_within(bps, piece) == expected
+
+
 def test_containment_ignores_endpoints():
     outer = canonicalize_piece([(0, "1/2"), ("1/2", 1)])
     assert piece_contains(outer, ((F(0), F(1)),))
@@ -162,6 +207,19 @@ def test_price_curve():
     assert curve.piece_price(((F(0), F(1)),)) == 3
     flat = PriceCurve([0, 1], [2])
     assert flat.piece_price(((F(0), F(1)),)) == 2
+
+
+@given(price_curves(), messy_intervals)
+def test_piece_price_matches_per_cell_reference(curve, piece):
+    assert curve.piece_price(piece) == reference_price(curve, piece)
+
+
+def test_price_curve_cache_is_invisible():
+    curve = PriceCurve([0, "1/2", 1], [2, 4])
+    fresh = PriceCurve([0, "1/2", 1], [2, 4])
+    shown = repr(curve)
+    assert curve.piece_price(((F(1, 4), F(3, 4)),)) == F(3, 2)
+    assert curve == fresh and hash(curve) == hash(fresh) and repr(curve) == shown
 
 
 def test_price_curve_validation():

@@ -1,9 +1,11 @@
 """Outcome verification, envy-freeness, and the brute-force oracles."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from caei.model import (
     CaeiSolution,
@@ -11,14 +13,28 @@ from caei.model import (
     DiscreteInstance,
     DivisibleInstance,
     PriceCurve,
+    canonicalize_piece,
+    piece_intersection,
+    piece_length,
 )
 from caei.verify import (
     OracleGuardError,
+    Violation,
     is_envy_free,
     oracle_caei_search,
     oracle_max_satisfiable,
     verify_caei,
 )
+
+# cake pieces on a coarse grid, so that overlaps of three or more
+# pieces, shared endpoints and exact containment are all common
+eighths = st.integers(0, 8).map(lambda k: F(k, 8))
+cake_pieces = st.lists(st.tuples(eighths, eighths).map(sorted), max_size=3)
+
+
+def held(bundle, demand):
+    """Containment by its definition: the overlap is as long as the demand."""
+    return piece_length(piece_intersection(bundle, demand)) == piece_length(demand)
 
 
 @pytest.fixture
@@ -155,6 +171,39 @@ def test_cake_solution_checks():
     assert not verify_caei(inst, overlap).partition_ok
 
 
+@pytest.mark.parametrize("extra", [7, -1])
+def test_out_of_range_served_is_a_violation(divisible_solution, extra):
+    inst, sol = divisible_solution
+    bad = replace(sol, served=sol.served | {extra}, welfare=3)
+    report = verify_caei(inst, bad)
+    assert not report.is_caei
+    assert Violation(f"agent {extra}", "served index out of range") in report.violations
+
+
+def test_negative_tolerance_rejected(divisible_solution):
+    inst, sol = divisible_solution
+    with pytest.raises(ValueError):
+        verify_caei(inst, sol, tolerance=F(-1, 10))
+
+
+@given(st.lists(cake_pieces, min_size=1, max_size=6), st.sampled_from([F(0), F(1, 16)]))
+@example([[(F(0), F(1, 2))], [(F(1, 4), F(3, 4))], [(F(0), F(1))], [(F(3, 8), F(5, 8))]], F(0))
+def test_cake_overlaps_match_pairwise_loop(raw, tolerance):
+    pieces = [canonicalize_piece(p) for p in raw]
+    inst = CakeInstance([((F(0), F(1)),)] * len(pieces))
+    sol = CaeiSolution(tuple(pieces), PriceCurve([0, 1], [0]), frozenset(), 0)
+    found = [
+        v for v in verify_caei(inst, sol, tolerance).violations
+        if v.condition == "overlapping pieces"
+    ]
+    expected = []
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        overlap = piece_length(piece_intersection(pieces[i], pieces[j]))
+        if overlap > tolerance:
+            expected.append(Violation(f"agents {i},{j}", "overlapping pieces", overlap))
+    assert found == expected
+
+
 def test_cake_unserved_must_be_priced_out():
     inst = CakeInstance((((F(0), F(1, 2)),), ((F(0), F(1)),)))
     curve = PriceCurve((F(0), F(1, 2), F(1)), (F(2), F(0)))
@@ -183,6 +232,27 @@ def test_envy_rejects_ragged_bundle():
     inst = DivisibleInstance(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
     with pytest.raises(ValueError):
         is_envy_free(inst, ((F(0), F(0)), (F(1),)))
+
+
+@given(st.data())
+def test_cake_envy_matches_pairwise_definition(data):
+    demands = data.draw(
+        st.lists(cake_pieces.filter(lambda p: canonicalize_piece(p)), min_size=1, max_size=6)
+    )
+    inst = CakeInstance(demands)
+    n = inst.num_agents
+    # bundles mix random pieces with copies of demands, so that envy
+    # and overlapping (invalid) allocations both occur
+    allocation = tuple(
+        data.draw(cake_pieces) + data.draw(st.sampled_from([[], *map(list, inst.demands)]))
+        for _ in range(n)
+    )
+    bundles = [canonicalize_piece(p) for p in allocation]
+    envious = [i for i in range(n) if not held(bundles[i], inst.demands[i])]
+    expected = not any(
+        k != i and held(bundles[k], inst.demands[i]) for i in envious for k in range(n)
+    )
+    assert is_envy_free(inst, allocation) == expected
 
 
 def test_envy_free_when_nobody_covets(divisible_solution):
