@@ -45,6 +45,11 @@ MODELS = ("divisible", "cake", "discrete")
 # endpoints and demand fractions drawn from this grid by `gen`
 GEN_GRID = 24
 
+# largest |exponent| of a number literal such as "1e-40": Fraction would
+# build 10**exponent, so "1e-10000000" alone takes seconds.  4300 is
+# Python's default limit on the digits of an int parsed from a string.
+MAX_EXPONENT = 4300
+
 
 class CliError(Exception):
     """Bad usage or malformed input; maps to exit code 1."""
@@ -64,7 +69,12 @@ def parse_number(token, where: str) -> Fraction:
             f"{where}: floating-point literal {token!r}; write fractions as strings"
         )
     if isinstance(token, str):
+        exponent = token.lower().partition("e")[2]
         try:
+            if exponent and abs(int(exponent)) > MAX_EXPONENT:
+                raise CliError(
+                    f"{where}: exponent of {token!r} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
+                )
             return Fraction(token)
         except (ValueError, ZeroDivisionError):
             raise CliError(f"{where}: cannot parse number {token!r}") from None
@@ -92,6 +102,11 @@ def load_json_file(path: str):
         raise CliError(f"{path}: {err.strerror or err}") from None
     except json.JSONDecodeError as err:
         raise CliError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply") from None
+    except ValueError as err:
+        # bad UTF-8, or an integer literal past Python's int-digit limit
+        raise CliError(f"{path}: {err}") from None
 
 
 def instance_from_json(data):
@@ -246,6 +261,15 @@ def write_payload(payload: dict, out: str | None) -> None:
             handle.write(text)
 
 
+def _write_solution(model: str, solution: CaeiSolution | None, out: str | None) -> int:
+    """Write a solver's solution, or report NoCaei when it found none."""
+    if solution is None:
+        print("NoCaei: no competitive allocation exists", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    write_payload(solution_to_json(model, solution), out)
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -263,11 +287,7 @@ def cmd_solve(args) -> int:
         solution = cake.solve_existence(instance)
     else:
         solution = discrete.solve_caei(instance)
-    if solution is None:
-        print("NoCaei: no competitive allocation exists", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    write_payload(solution_to_json(model, solution), args.out)
-    return EXIT_OK
+    return _write_solution(model, solution, args.out)
 
 
 def cmd_maxwelfare(args) -> int:
@@ -284,11 +304,7 @@ def cmd_maxwelfare(args) -> int:
                 "discrete welfare maximization is supported via --relaxed only"
             )
         solution = discrete.max_welfare_relaxed(instance)
-    if solution is None:
-        print("NoCaei: no competitive allocation exists", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    write_payload(solution_to_json(model, solution), args.out)
-    return EXIT_OK
+    return _write_solution(model, solution, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -329,11 +345,7 @@ def cmd_oracle(args) -> int:
         write_payload({"welfare": welfare, "served": list(served)}, args.out)
         return EXIT_OK
     solution = oracle_caei_search(instance)
-    if solution is None:
-        print("NoCaei: no competitive allocation exists", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    write_payload(solution_to_json(model, solution), args.out)
-    return EXIT_OK
+    return _write_solution(model, solution, args.out)
 
 
 def cmd_gen(args) -> int:

@@ -265,7 +265,7 @@ def _eps_prices(num_goods, afford, priced_out, cap=None, tiebreak=None):
     def cost(bundle):
         return {f"p{j}": q for j, q in enumerate(bundle) if q}
 
-    lp = LinearProgram(sense="max")
+    lp = LinearProgram()
     for j in range(num_goods):
         lp.add_variable(f"p{j}")
     lp.add_variable("eps", upper=1)
@@ -426,7 +426,7 @@ def allocation_for_prices(instance: DivisibleInstance, prices):
         for i in range(n)
         if bundle_price(prices, instance.demands[i]) <= 1
     )
-    lp = LinearProgram(sense="max")
+    lp = LinearProgram()
     for i in range(n):
         for j in range(m):
             lp.add_variable(f"x{i}_{j}")

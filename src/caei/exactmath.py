@@ -4,7 +4,14 @@ Everything in this module works over ``fractions.Fraction`` with
 arbitrary-precision integers, so results are exact and reproducible:
 the simplex solver uses Bland's lowest-index pivot rule, which both
 prevents cycling and makes the returned vertex a deterministic
-function of the program as built.
+function of the program as built.  Bland's pivots follow the tableau
+order, so that order is part of the result:
+
+- rows: the constraints as added, then one ``x <= upper`` row per
+  bounded variable in declaration order;
+- columns: the variables in declaration order, one slack per
+  inequality row in row order, then one artificial per row whose
+  slack does not start the basis with coefficient +1 (phase 1 only).
 
 Floats are rejected at the door.  Callers that start from decimal
 text should pass strings ("0.4" parses exactly); callers that really
@@ -62,29 +69,22 @@ class LpOutcome:
 
 @dataclass
 class LinearProgram:
-    """A small builder for exact LPs.
+    """A small builder for exact LPs that maximize their objective.
 
-    Variables default to lower bound 0; ``free=True`` removes the lower
-    bound and ``upper=`` adds a finite upper bound.  Constraints refer
-    to declared variables by name only.
+    Variables have lower bound 0; ``upper=`` adds a finite upper bound.
+    Constraints refer to declared variables by name only.
     """
 
-    sense: str = "max"
-    _variables: dict[str, tuple[bool, Fraction | None]] = field(default_factory=dict)
+    _variables: dict[str, Fraction | None] = field(default_factory=dict)
     _objective: dict[str, Fraction] = field(default_factory=dict)
     _constraints: list[tuple[dict[str, Fraction], str, Fraction]] = field(
         default_factory=list
     )
 
-    def __post_init__(self):
-        if self.sense not in ("max", "min"):
-            raise LpError(f"sense must be 'max' or 'min', got {self.sense!r}")
-
-    def add_variable(self, name: str, *, free: bool = False, upper=None):
+    def add_variable(self, name: str, *, upper=None):
         if name in self._variables:
             raise LpError(f"variable {name!r} declared twice")
-        bound = None if upper is None else as_fraction(upper)
-        self._variables[name] = (free, bound)
+        self._variables[name] = None if upper is None else as_fraction(upper)
 
     def set_objective(self, coefficients: dict):
         self._objective = {
@@ -106,78 +106,45 @@ class LinearProgram:
 
 
 def simplex_solve(lp: LinearProgram) -> LpOutcome:
-    """Solve an exact LP by two-phase simplex with Bland's rule.
+    """Maximize an exact LP by two-phase simplex with Bland's rule.
 
     Returns an LpOutcome with status OPTIMAL, INFEASIBLE or UNBOUNDED.
     Deterministic: identical programs yield identical assignments.
     """
-    # Structural columns: one per variable, two for free variables
-    # (x = xplus - xminus).
-    columns: list[tuple[str, int]] = []
-    first_col: dict[str, int] = {}
-    for name, (free, _upper) in lp._variables.items():
-        first_col[name] = len(columns)
-        columns.append((name, +1))
-        if free:
-            columns.append((name, -1))
+    n = len(lp._variables)
+    col = {name: j for j, name in enumerate(lp._variables)}
+    rows = lp._constraints + [
+        ({name: Fraction(1)}, LESS_EQUAL, upper)
+        for name, upper in lp._variables.items()
+        if upper is not None
+    ]
+    # After the sign flip a row's slack is +1 exactly for "<=" with b >= 0
+    # and ">=" with b < 0; that slack starts basic, other rows get an
+    # artificial column.
+    slack_basic = [rel != EQUAL and (rel == LESS_EQUAL) == (b >= 0) for _, rel, b in rows]
+    n_real = n + sum(rel != EQUAL for _, rel, _ in rows)
+    width = n_real + slack_basic.count(False)
 
-    def dense(coeffs):
-        row = [Fraction(0)] * len(columns)
-        for name, c in coeffs.items():
-            free, _ = lp._variables[name]
-            j = first_col[name]
-            row[j] += c
-            if free:
-                row[j + 1] -= c
-        return row
-
-    rows: list[list[Fraction]] = []
-    relations: list[str] = []
-    rhs: list[Fraction] = []
-    for coeffs, rel, b in lp._constraints:
-        rows.append(dense(coeffs))
-        relations.append(rel)
-        rhs.append(b)
-    for name, (_free, upper) in lp._variables.items():
-        if upper is not None:
-            rows.append(dense({name: Fraction(1)}))
-            relations.append(LESS_EQUAL)
-            rhs.append(upper)
-
-    n_struct = len(columns)
-    # Slack / surplus columns turn every row into an equality.
-    slack_col_of_row: dict[int, int] = {}
-    for i, rel in enumerate(relations):
-        if rel == EQUAL:
-            continue
-        slack_col_of_row[i] = len(columns)
-        columns.append((f"_slack{i}", +1))
-        coeff = Fraction(1) if rel == LESS_EQUAL else Fraction(-1)
-        for r, row in enumerate(rows):
-            row.append(coeff if r == i else Fraction(0))
-
-    # Normalize to nonnegative right-hand sides.
-    for i, row in enumerate(rows):
-        if rhs[i] < 0:
-            rhs[i] = -rhs[i]
-            rows[i] = [-a for a in row]
-
-    n_real = len(columns)
-    # Initial basis: reuse a slack column where it survived with +1,
-    # otherwise add an artificial column (artificials come last).
+    zero = Fraction(0)
+    tableau: list[list[Fraction]] = []
     basis: list[int] = []
-    for i, row in enumerate(rows):
-        j = slack_col_of_row.get(i)
-        if j is not None and row[j] == 1:
-            basis.append(j)
+    slack, artificial = n, n_real
+    for (coeffs, rel, b), basic in zip(rows, slack_basic):
+        sign = -1 if b < 0 else 1
+        row = [zero] * (width + 1)
+        for name, c in coeffs.items():
+            row[col[name]] = sign * c
+        if rel != EQUAL:
+            row[slack] = Fraction(sign if rel == LESS_EQUAL else -sign)
+            slack += 1
+        if basic:
+            basis.append(slack - 1)
         else:
-            k = len(columns)
-            columns.append((f"_artificial{i}", +1))
-            for r, other in enumerate(rows):
-                other.append(Fraction(1) if r == i else Fraction(0))
-            basis.append(k)
-
-    tableau = [rows[i] + [rhs[i]] for i in range(len(rows))]
+            row[artificial] = Fraction(1)
+            basis.append(artificial)
+            artificial += 1
+        row[-1] = sign * b
+        tableau.append(row)
 
     def pivot(r, c):
         prow = tableau[r]
@@ -198,7 +165,7 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
         `reduced` is the cost row carried along as one more tableau row:
         its last cell holds minus the current objective value.
         """
-        reduced = list(cost) + [Fraction(0)]
+        reduced = list(cost) + [zero]
         for r, b in enumerate(basis):
             factor = reduced[b]
             if factor:
@@ -206,7 +173,7 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
                 reduced = [a - factor * t for a, t in zip(reduced, prow)]
         while True:
             enter = -1
-            for j in range(len(columns)):
+            for j in range(len(cost)):
                 if reduced[j] < 0:
                     enter = j
                     break
@@ -232,9 +199,8 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
                 reduced = [a - factor * t for a, t in zip(reduced, prow)]
 
     # Phase 1: drive artificials to zero.
-    if len(columns) > n_real:
-        cost1 = [Fraction(0)] * n_real + [Fraction(1)] * (len(columns) - n_real)
-        status, value = run_phase(cost1)
+    if width > n_real:
+        status, value = run_phase([zero] * n_real + [Fraction(1)] * (width - n_real))
         if status != OPTIMAL or value != 0:
             return LpOutcome(INFEASIBLE)
         # Pivot surviving artificials out of the basis.
@@ -252,28 +218,19 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
                     del basis[r]
         # No artificial is basic any more: drop their columns.
         tableau = [row[:n_real] + row[-1:] for row in tableau]
-        del columns[n_real:]
 
-    # Phase 2: the real objective.
-    cost2 = [Fraction(0)] * len(columns)
-    sign = Fraction(-1) if lp.sense == "max" else Fraction(1)
+    # Phase 2: maximize the objective, i.e. minimize its negation.
+    cost = [zero] * n_real
     for name, c in lp._objective.items():
-        free, _ = lp._variables[name]
-        j = first_col[name]
-        cost2[j] += sign * c
-        if free:
-            cost2[j + 1] -= sign * c
-    status, _value = run_phase(cost2)
+        cost[col[name]] = -c
+    status, _value = run_phase(cost)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
-    values = [Fraction(0)] * len(columns)
+    values = [zero] * n_real
     for r, b in enumerate(basis):
         values[b] = tableau[r][-1]
-    assignment = {}
-    for name, (free, _upper) in lp._variables.items():
-        j = first_col[name]
-        assignment[name] = values[j] - values[j + 1] if free else values[j]
+    assignment = {name: values[j] for name, j in col.items()}
     objective_value = sum(
         (c * assignment[name] for name, c in lp._objective.items()), Fraction(0)
     )
@@ -283,9 +240,9 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
 
 def _check_assignment(lp, assignment):
     """Defensive exactness check on the returned vertex."""
-    for name, (free, upper) in lp._variables.items():
+    for name, upper in lp._variables.items():
         x = assignment[name]
-        if not free and x < 0:
+        if x < 0:
             raise AssertionError(f"simplex produced {name}={x} < 0")
         if upper is not None and x > upper:
             raise AssertionError(f"simplex produced {name}={x} > {upper}")

@@ -338,7 +338,7 @@ def _supporting_prices(afford, priced_out, num_prices, cap=None):
     (full clearing against unit budgets makes more money than the
     agents hold impossible to collect).
     """
-    lp = LinearProgram(sense="max")
+    lp = LinearProgram()
     for k in range(num_prices):
         lp.add_variable(f"p{k}")
     lp.add_variable("eps", upper=1)

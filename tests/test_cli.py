@@ -17,6 +17,7 @@ from caei.cli import (
     instance_from_json,
     instance_to_json,
     main,
+    parse_number,
     solution_from_json,
     solution_to_json,
 )
@@ -100,6 +101,44 @@ def test_malformed_json_diagnoses_position(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(bad))
     assert code == EXIT_USAGE
     assert ":2:" in err
+
+
+@pytest.mark.parametrize("literal", ["1e-5000", "1E+4301", "-2.5e-100000"])
+def test_huge_exponents_rejected(capsys, tmp_path, literal):
+    # Fraction would build 10**exponent; the value 1e-5000 lies in [0, 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"model": "divisible", "demands": [[literal]]}))
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == EXIT_USAGE
+    assert "demands[0][0]: exponent" in err
+
+
+def test_exponent_bound_is_inclusive():
+    # repr(float) output, as `solve --method eg` writes it, stays well inside
+    assert parse_number("1e-4300", "x") == F(1, 10**4300)
+    assert parse_number("1.5E+4300", "x") == 15 * 10**4299
+    assert parse_number(repr(5e-324), "x") == F(5, 10**324)
+
+
+def test_deeply_nested_json_rejected(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000)
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == EXIT_USAGE
+    assert f"{bad}: JSON nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"model": "discrete", "quantities": [' + b"1" * 5000 + b"]}", b'{"model": "\xff"}'],
+    ids=["int-past-digit-limit", "bad-utf8"],
+)
+def test_undecodable_json_rejected(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == EXIT_USAGE
+    assert f"error: {bad}: " in err
 
 
 # --- solve and verify ------------------------------------------------------
