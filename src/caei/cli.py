@@ -88,10 +88,18 @@ def parse_count(token, where: str) -> int:
     return value.numerator
 
 
-def format_number(value, exact: bool) -> str:
-    if exact:
-        return str(Fraction(value))
-    return repr(float(value))
+def format_number(value, exact: bool, where: str) -> str:
+    try:
+        if exact:
+            return str(Fraction(value))
+        return repr(float(value))
+    except ValueError:
+        # str() of an int past Python's digit limit (4300 by default)
+        # raises; an exponent literal such as "1e-4300" parses to one
+        raise CliError(
+            f"{where}: the result has a number of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to write"
+        ) from None
 
 
 def load_json_file(path: str):
@@ -171,22 +179,33 @@ def instance_to_json(model: str, instance) -> dict:
 
 
 def solution_to_json(model: str, solution: CaeiSolution) -> dict:
-    num = lambda v: format_number(v, solution.exact)
+    num = lambda v, where: format_number(v, solution.exact, where)
     if model == "cake":
         curve = solution.prices
         prices = {
-            "breakpoints": [num(b) for b in curve.breakpoints],
-            "densities": [num(d) for d in curve.densities],
+            "breakpoints": [
+                num(b, f"prices.breakpoints[{k}]") for k, b in enumerate(curve.breakpoints)
+            ],
+            "densities": [
+                num(d, f"prices.densities[{k}]") for k, d in enumerate(curve.densities)
+            ],
         }
         allocation = [
-            [[num(lo), num(hi)] for lo, hi in piece] for piece in solution.allocation
+            [
+                [num(lo, f"allocation[{i}][{k}]"), num(hi, f"allocation[{i}][{k}]")]
+                for k, (lo, hi) in enumerate(piece)
+            ]
+            for i, piece in enumerate(solution.allocation)
         ]
     else:
-        prices = [num(p) for p in solution.prices]
+        prices = [num(p, f"prices[{j}]") for j, p in enumerate(solution.prices)]
         if model == "discrete":
             allocation = [[int(c) for c in row] for row in solution.allocation]
         else:
-            allocation = [[num(v) for v in row] for row in solution.allocation]
+            allocation = [
+                [num(v, f"allocation[{i}][{j}]") for j, v in enumerate(row)]
+                for i, row in enumerate(solution.allocation)
+            ]
     return {
         "model": model,
         "prices": prices,
@@ -329,9 +348,11 @@ def cmd_verify(args) -> int:
             {
                 "subject": v.subject,
                 "condition": v.condition,
-                "magnitude": None if v.magnitude is None else str(v.magnitude),
+                "magnitude": None
+                if v.magnitude is None
+                else format_number(v.magnitude, True, f"violations[{k}].magnitude"),
             }
-            for v in report.violations
+            for k, v in enumerate(report.violations)
         ],
     }
     write_payload(payload, args.out)

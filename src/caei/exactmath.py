@@ -1,8 +1,14 @@
 """Exact rational linear programming and linear algebra.
 
-Everything in this module works over ``fractions.Fraction`` with
-arbitrary-precision integers, so results are exact and reproducible:
-the simplex solver uses Bland's lowest-index pivot rule, which both
+Programs are built and solved over ``fractions.Fraction`` with
+arbitrary-precision integers, so results are exact and reproducible.
+The simplex tableau itself holds integers only: each row is a list of
+int numerators over one positive row denominator, and the cost row is
+carried the same way.  A pivot multiplies rows out and divides by their
+gcd, the ratio test cross-multiplies numerators, and values leave the
+tableau as Fractions.
+
+The simplex solver uses Bland's lowest-index pivot rule, which both
 prevents cycling and makes the returned vertex a deterministic
 function of the program as built.  Bland's pivots follow the tableau
 order, so that order is part of the result:
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -125,52 +132,56 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
     n_real = n + sum(rel != EQUAL for _, rel, _ in rows)
     width = n_real + slack_basic.count(False)
 
-    zero = Fraction(0)
-    tableau: list[list[Fraction]] = []
+    # Row i holds the values tableau[i][j] / denom[i], with denom[i] > 0.
+    tableau: list[list[int]] = []
+    denom: list[int] = []
     basis: list[int] = []
     slack, artificial = n, n_real
     for (coeffs, rel, b), basic in zip(rows, slack_basic):
-        sign = -1 if b < 0 else 1
-        row = [zero] * (width + 1)
+        d = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
+        sign = -d if b < 0 else d
+        row = [0] * (width + 1)
         for name, c in coeffs.items():
-            row[col[name]] = sign * c
+            row[col[name]] = c.numerator * sign // c.denominator
         if rel != EQUAL:
-            row[slack] = Fraction(sign if rel == LESS_EQUAL else -sign)
+            row[slack] = sign if rel == LESS_EQUAL else -sign
             slack += 1
         if basic:
             basis.append(slack - 1)
         else:
-            row[artificial] = Fraction(1)
+            row[artificial] = d
             basis.append(artificial)
             artificial += 1
-        row[-1] = sign * b
+        row[-1] = b.numerator * sign // b.denominator
         tableau.append(row)
+        denom.append(d)
 
     def pivot(r, c):
         prow = tableau[r]
-        inv = 1 / prow[c]
-        if inv != 1:
-            tableau[r] = prow = [a * inv for a in prow]
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            tableau[r] = prow = [a // g for a in prow]
+        pd = denom[r] = prow[c]
         for i, row in enumerate(tableau):
-            if i == r:
-                continue
-            factor = row[c]
-            if factor:
-                tableau[i] = [a - factor * b for a, b in zip(row, prow)]
+            if i != r and row[c]:
+                tableau[i], denom[i] = _eliminate(row, denom[i], row[c], prow, pd)
         basis[r] = c
 
-    def run_phase(cost):
-        """Minimize cost.x over the current tableau; returns status.
+    def run_phase(cost, cost_denom):
+        """Minimize cost.x over the current tableau.
 
-        `reduced` is the cost row carried along as one more tableau row:
-        its last cell holds minus the current objective value.
+        `reduced` is the cost row carried along as one more tableau row,
+        over its positive denominator `rd`: its last cell holds minus the
+        numerator of the current objective value.  Returns the status
+        and, when OPTIMAL, that numerator, which is 0 exactly when the
+        optimum is.
         """
-        reduced = list(cost) + [zero]
+        reduced, rd = cost + [0], cost_denom
         for r, b in enumerate(basis):
-            factor = reduced[b]
-            if factor:
-                prow = tableau[r]
-                reduced = [a - factor * t for a, t in zip(reduced, prow)]
+            if reduced[b]:
+                reduced, rd = _eliminate(reduced, rd, reduced[b], tableau[r], denom[r])
         while True:
             enter = -1
             for j in range(len(cost)):
@@ -179,28 +190,29 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
                     break
             if enter < 0:
                 return OPTIMAL, -reduced[-1]
+            # Ratio test on rhs / a: a row's denominator cancels, so two
+            # ratios compare by cross-multiplying numerators.
             leave = -1
-            best = None
             for r, row in enumerate(tableau):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[r] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = r
+                    if leave < 0:
+                        leave, best_b, best_a = r, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                        leave, best_b, best_a = r, row[-1], a
             if leave < 0:
                 return UNBOUNDED, None
             pivot(leave, enter)
-            factor = reduced[enter]
-            if factor:
-                prow = tableau[leave]
-                reduced = [a - factor * t for a, t in zip(reduced, prow)]
+            if reduced[enter]:
+                reduced, rd = _eliminate(
+                    reduced, rd, reduced[enter], tableau[leave], denom[leave]
+                )
 
     # Phase 1: drive artificials to zero.
     if width > n_real:
-        status, value = run_phase([zero] * n_real + [Fraction(1)] * (width - n_real))
+        status, value = run_phase([0] * n_real + [1] * (width - n_real), 1)
         if status != OPTIMAL or value != 0:
             return LpOutcome(INFEASIBLE)
         # Pivot surviving artificials out of the basis.
@@ -215,27 +227,45 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
                     pivot(r, target)
                 else:
                     del tableau[r]
+                    del denom[r]
                     del basis[r]
         # No artificial is basic any more: drop their columns.
         tableau = [row[:n_real] + row[-1:] for row in tableau]
 
     # Phase 2: maximize the objective, i.e. minimize its negation.
-    cost = [zero] * n_real
+    cost_denom = lcm(*(c.denominator for c in lp._objective.values()))
+    cost = [0] * n_real
     for name, c in lp._objective.items():
-        cost[col[name]] = -c
-    status, _value = run_phase(cost)
+        cost[col[name]] = -c.numerator * cost_denom // c.denominator
+    status, _value = run_phase(cost, cost_denom)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
-    values = [zero] * n_real
+    values = [Fraction(0)] * n_real
     for r, b in enumerate(basis):
-        values[b] = tableau[r][-1]
+        values[b] = Fraction(tableau[r][-1], denom[r])
     assignment = {name: values[j] for name, j in col.items()}
     objective_value = sum(
         (c * assignment[name] for name, c in lp._objective.items()), Fraction(0)
     )
     _check_assignment(lp, assignment)
     return LpOutcome(OPTIMAL, assignment, objective_value)
+
+
+def _eliminate(row, d, f, prow, pd):
+    """Subtract the pivot row prow/pd, scaled by f/d, from the row row/d.
+
+    f is the row's numerator in the pivot column, where the pivot row
+    holds pd, so the result is 0 there.  Returns the new numerators and
+    positive denominator in lowest terms.
+    """
+    new = [a * pd - f * p if p else a * pd for a, p in zip(row, prow)]
+    d *= pd
+    g = gcd(d, *new)
+    if g != 1:
+        new = [a // g for a in new]
+        d //= g
+    return new, d
 
 
 def _check_assignment(lp, assignment):

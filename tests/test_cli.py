@@ -120,6 +120,30 @@ def test_exponent_bound_is_inclusive():
     assert parse_number(repr(5e-324), "x") == F(5, 10**324)
 
 
+
+@pytest.mark.parametrize("command", ["solve", "maxwelfare", "oracle"])
+def test_overlong_result_number_is_an_input_error(capsys, tmp_path, command):
+    # 1e-4300 parses, but the breakpoint 1/10**4300 has a 4301-digit
+    # denominator, past the digits Python will print
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"model": "cake", "demands": [[["1e-4300", "1/2"]], [["0", "1"]]]}))
+    code, out, err = run(capsys, command, str(big))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "error: prices.breakpoints[1]: " in err
+
+
+def test_overlong_violation_magnitude_is_an_input_error(capsys, tmp_path):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"model": "divisible", "demands": [["1", "1"]]}))
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({
+        "model": "divisible", "prices": ["1e-4300", "3e-4299"],
+        "allocation": [["1e-4299", "7e-4300"]], "served": [0], "welfare": 1,
+    }))
+    code, out, err = run(capsys, "verify", str(instance), str(solution))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "error: violations[1].magnitude: " in err
+
 def test_deeply_nested_json_rejected(capsys, tmp_path):
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 200_000)

@@ -1,9 +1,12 @@
-"""Exact LP layer: hand-checked programs plus a vertex-enumeration oracle.
+"""Exact LP layer: hand-checked programs, a vertex-enumeration oracle
+and a Fraction-tableau reference simplex.
 
 The oracle solves small LPs from first principles: every vertex of the
 feasible region is the solution of some square subsystem of tight
 constraints, so enumerating all of them and keeping the feasible best
-gives the exact optimum independently of the simplex code path.
+gives the exact optimum independently of the simplex code path.  The
+reference simplex makes the same pivots over Fractions, so the integer
+tableau must return the very same vertex.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ from caei.exactmath import (
     UNBOUNDED,
     LinearProgram,
     LpError,
+    LpOutcome,
     simplex_solve,
     solve_linear_system,
 )
@@ -62,6 +66,108 @@ def vertex_oracle(lp):
     if best is None:
         return INFEASIBLE, None
     return OPTIMAL, best
+
+
+def reference_simplex(lp):
+    """The Fraction-tableau simplex the integer-row one replaced.
+
+    Same rows, columns, Bland's rule and tie-breaks; every cell is a
+    Fraction.  Kept as the reference the integer tableau must match
+    vertex for vertex.
+    """
+    n = len(lp._variables)
+    col = {name: j for j, name in enumerate(lp._variables)}
+    rows = lp._constraints + [
+        ({name: F(1)}, "<=", upper) for name, upper in lp._variables.items() if upper is not None
+    ]
+    slack_basic = [rel != "==" and (rel == "<=") == (b >= 0) for _, rel, b in rows]
+    n_real = n + sum(rel != "==" for _, rel, _ in rows)
+    width = n_real + slack_basic.count(False)
+
+    zero = F(0)
+    tableau = []
+    basis = []
+    slack, artificial = n, n_real
+    for (coeffs, rel, b), basic in zip(rows, slack_basic):
+        sign = -1 if b < 0 else 1
+        row = [zero] * (width + 1)
+        for name, c in coeffs.items():
+            row[col[name]] = sign * c
+        if rel != "==":
+            row[slack] = F(sign if rel == "<=" else -sign)
+            slack += 1
+        if basic:
+            basis.append(slack - 1)
+        else:
+            row[artificial] = F(1)
+            basis.append(artificial)
+            artificial += 1
+        row[-1] = sign * b
+        tableau.append(row)
+
+    def pivot(r, c):
+        prow = tableau[r]
+        inv = 1 / prow[c]
+        if inv != 1:
+            tableau[r] = prow = [a * inv for a in prow]
+        for i, row in enumerate(tableau):
+            if i != r and row[c]:
+                factor = row[c]
+                tableau[i] = [a - factor * b for a, b in zip(row, prow)]
+        basis[r] = c
+
+    def run_phase(cost):
+        reduced = list(cost) + [zero]
+        for r, b in enumerate(basis):
+            factor = reduced[b]
+            if factor:
+                reduced = [a - factor * t for a, t in zip(reduced, tableau[r])]
+        while True:
+            enter = next((j for j in range(len(cost)) if reduced[j] < 0), -1)
+            if enter < 0:
+                return OPTIMAL, -reduced[-1]
+            leave = -1
+            best = None
+            for r, row in enumerate(tableau):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[-1] / a
+                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                        best = ratio
+                        leave = r
+            if leave < 0:
+                return UNBOUNDED, None
+            pivot(leave, enter)
+            factor = reduced[enter]
+            if factor:
+                reduced = [a - factor * t for a, t in zip(reduced, tableau[leave])]
+
+    if width > n_real:
+        status, value = run_phase([zero] * n_real + [F(1)] * (width - n_real))
+        if status != OPTIMAL or value != 0:
+            return LpOutcome(INFEASIBLE)
+        for r in range(len(tableau) - 1, -1, -1):
+            if basis[r] >= n_real:
+                target = next((j for j in range(n_real) if tableau[r][j] != 0), -1)
+                if target >= 0:
+                    pivot(r, target)
+                else:
+                    del tableau[r]
+                    del basis[r]
+        tableau = [row[:n_real] + row[-1:] for row in tableau]
+
+    cost = [zero] * n_real
+    for name, c in lp._objective.items():
+        cost[col[name]] = -c
+    status, _value = run_phase(cost)
+    if status == UNBOUNDED:
+        return LpOutcome(UNBOUNDED)
+    values = [zero] * n_real
+    for r, b in enumerate(basis):
+        values[b] = tableau[r][-1]
+    assignment = {name: values[j] for name, j in col.items()}
+    objective_value = sum((c * assignment[name] for name, c in lp._objective.items()), F(0))
+    return LpOutcome(OPTIMAL, assignment, objective_value)
 
 
 def test_single_variable_box():
@@ -219,6 +325,44 @@ def test_degenerate_vertices_are_pinned():
         lines.append(f"{out.status} {assignment} {out.objective_value}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "39d19998b291e61237d374027ce4e912036e2cac2e31b067060b71f51b279ec1"
+
+
+def _wide_program(rng):
+    """A random LP with wide rational data: numerators up to 10**6 over
+    denominators up to 10**9, zero coefficients, negative right-hand
+    sides and upper bounds, all three relations."""
+
+    def wide():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**9))
+
+    names = [f"x{j}" for j in range(rng.randint(1, 6))]
+    lp = LinearProgram()
+    for nm in names:
+        lp.add_variable(nm, upper=rng.choice([None, None, abs(wide()), abs(wide()), wide()]))
+    lp.set_objective({nm: rng.choice([abs, abs, F])(wide()) for nm in names})
+    for _ in range(rng.randint(0, 8)):
+        coeffs = {nm: wide() for nm in names if rng.random() < 0.8}
+        rel = rng.choice(["<=", "<=", ">=", "=="])
+        rhs = wide()
+        if rng.random() < 0.8:  # mostly keep x = 0 feasible
+            rhs = {"<=": abs(rhs), ">=": -abs(rhs), "==": F(0)}[rel]
+        lp.add_constraint(coeffs, rel, rhs)
+    return lp
+
+
+def test_wide_programs_match_fraction_reference():
+    rng = random.Random(9)
+    for trial in range(1000):
+        lp = _wide_program(rng)
+        out, ref = simplex_solve(lp), reference_simplex(lp)
+        assert out.status == ref.status, f"trial {trial}"
+        assert repr(out.assignment) == repr(ref.assignment), f"trial {trial}"
+        assert out.objective_value == ref.objective_value, f"trial {trial}"
+        if out.status == OPTIMAL:
+            assert all(type(v) is F for v in out.assignment.values()), f"trial {trial}"
+            assert type(out.objective_value) is F, f"trial {trial}"
 
 
 def test_undeclared_variable_is_an_input_error():
