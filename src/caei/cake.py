@@ -14,13 +14,20 @@ routes produce competitive outcomes:
   back to the exact LP search if the construction misses.
 
 * ``max_welfare_fixed_agents`` enumerates unions of agent types over
-  a refined cell partition and lets the exact price-only subset LP
-  decide supportability.  Exponential in the number of distinct
-  demands, exact in everything else.
+  the cells between demand endpoints and lets the exact price-only
+  subset LP decide supportability.  Exponential in the number of
+  distinct demands, exact in everything else.
 
 * completion: ``price_curve_for_allocation`` / ``allocation_for_price_curve``
   recover the missing half of an outcome through the divisible-goods
   reductions on the induced cell partition.
+
+The cells come from one reduction: ``refine_partition`` cuts the cake
+at every demand endpoint (plus any extra points), so each cell lies
+inside a demand or outside it, and ``model.cell_goods``,
+``model.carve_cells`` and ``model.cell_curve`` carry the cells to
+divisible goods and back.  The cake oracle in ``verify`` runs the
+divisible oracle through the same mapping.
 
 Piece queries cost O(|piece| log cells) exact steps: the cells inside
 a demand come from ``model.cells_within`` (a bisected run of
@@ -39,9 +46,11 @@ from .model import (
     CaeiSolution,
     CakeInstance,
     DiscreteInstance,
-    DivisibleInstance,
     PriceCurve,
     canonicalize_piece,
+    carve_cells,
+    cell_curve,
+    cell_goods,
     cells_within,
     piece_intersection,
     piece_difference,
@@ -79,73 +88,21 @@ class ScheduledJob:
     order: int
 
 
-def refine_partition(
-    instance: CakeInstance, extra_points=(), split_rule: str = "none"
-) -> Partition:
-    """Cut points induced by the demands, optionally refined.
+def refine_partition(instance: CakeInstance, extra_points=()) -> Partition:
+    """The cells cut by every demand endpoint and the ``extra_points``.
 
-    ``midpoints`` adds the midpoint of every demanded interval (each
-    demand then spans at least two cells); ``per_demander_count``
-    splits each induced cell into as many equal cells as it has
-    demanders; ``none`` keeps the raw endpoints.
+    Every demand is a union of cells, so the cells can stand in for the
+    cake as goods (``model.cell_goods``).
     """
-    points = {Fraction(0), Fraction(1)}
-    for extra in extra_points:
-        extra = Fraction(extra)
-        if not 0 <= extra <= 1:
-            raise ValueError(f"extra point {extra} outside the cake")
-        points.add(extra)
+    points = {Fraction(0), Fraction(1), *map(Fraction, extra_points)}
     for piece in instance.demands:
         for lo, hi in piece:
             points.update((lo, hi))
-            if split_rule == "midpoints":
-                points.add((lo + hi) / 2)
-    if split_rule == "per_demander_count":
-        base = sorted(points)
-        demanders = [0] * (len(base) - 1)
-        for piece in instance.demands:
-            for k in cells_within(base, piece):
-                demanders[k] += 1
-        for k, count in enumerate(demanders):
-            lo, hi = base[k], base[k + 1]
-            for t in range(1, count):
-                points.add(lo + (hi - lo) * t / count)
-    elif split_rule not in ("midpoints", "none"):
-        raise ValueError(f"unknown split rule {split_rule!r}")
-    return Partition(tuple(sorted(points)))
-
-
-def _cell_goods(instance: CakeInstance, partition: Partition) -> DivisibleInstance:
-    # each cell becomes a divisible good wanted fully or not at all
-    width = len(partition.breakpoints) - 1
-    rows = []
-    for piece in instance.demands:
-        inside = set(cells_within(partition.breakpoints, piece))
-        rows.append(tuple(Fraction(1) if k in inside else Fraction(0) for k in range(width)))
-    return DivisibleInstance(rows)
-
-
-def _carve_cells(cells, shares):
-    """Left-to-right sub-intervals of each cell, in agent-index order."""
-    n = len(shares)
-    pieces = [[] for _ in range(n)]
-    for k, (lo, hi) in enumerate(cells):
-        cursor = lo
-        for i in range(n):
-            width = shares[i][k] * (hi - lo)
-            if width > 0:
-                pieces[i].append((cursor, cursor + width))
-                cursor += width
-        assert cursor <= hi, "cell shares exceed the cell"
-    return tuple(canonicalize_piece(tuple(p)) for p in pieces)
-
-
-def _cell_curve(partition: Partition, cell_prices) -> PriceCurve:
-    densities = tuple(
-        price / (hi - lo)
-        for price, (lo, hi) in zip(cell_prices, partition.cells)
-    )
-    return PriceCurve(partition.breakpoints, densities)
+    breakpoints = tuple(sorted(points))
+    # demand endpoints lie in the cake, so only an extra point can leave it
+    if breakpoints[0] < 0 or breakpoints[-1] > 1:
+        raise ValueError("extra points must lie in the cake [0, 1]")
+    return Partition(breakpoints)
 
 
 def solve_existence(instance: CakeInstance) -> CaeiSolution:
@@ -157,7 +114,8 @@ def solve_existence(instance: CakeInstance) -> CaeiSolution:
     Cell prices spread uniformly over their interval; undemanded cells
     are free and go to agent 0.
     """
-    partition = refine_partition(instance, (), "midpoints")
+    midpoints = [(lo + hi) / 2 for piece in instance.demands for lo, hi in piece]
+    partition = refine_partition(instance, midpoints)
     cells = partition.cells
     wanted = [cells_within(partition.breakpoints, piece) for piece in instance.demands]
     items = sorted(set().union(*wanted))
@@ -182,7 +140,7 @@ def solve_existence(instance: CakeInstance) -> CaeiSolution:
 
     solution = CaeiSolution(
         tuple(canonicalize_piece(tuple(p)) for p in pieces),
-        _cell_curve(partition, prices),
+        cell_curve(partition.breakpoints, prices),
         inner.served,
         inner.welfare,
         provenance="solve_existence",
@@ -209,7 +167,7 @@ def greedy_contiguous(instance: CakeInstance) -> CaeiSolution:
         raise ValueError("greedy scheduling needs single-interval demands")
     n = instance.num_agents
     spans = [piece[0] for piece in instance.demands]
-    base = refine_partition(instance, (), "none")
+    base = refine_partition(instance)
     shortest = min(hi - lo for lo, hi in base.cells)
     delta = shortest / 4
     eps = Fraction(1, 2 * n + 2)
@@ -304,20 +262,20 @@ def greedy_contiguous(instance: CakeInstance) -> CaeiSolution:
 def max_welfare_fixed_agents(instance: CakeInstance) -> CaeiSolution:
     """Exact maximum-satisfaction outcome by served-set enumeration.
 
-    Cells of the demander-count refinement act as divisible goods,
-    and ``max_welfare_caei`` searches the unions of their agent types:
+    The cells between demand endpoints act as divisible goods, and
+    ``max_welfare_caei`` searches the unions of their agent types:
     a served set is supportable iff some cell prices let its members
     afford their cells while pricing everyone else out, at a total of
     at most n.  Candidates run from largest to smallest, ties
     lexicographic, so the first hit is optimal.  Exponential in the
     number of distinct demands by design.
     """
-    partition = refine_partition(instance, (), "per_demander_count")
-    inner = max_welfare_caei(_cell_goods(instance, partition))
+    breakpoints = refine_partition(instance).breakpoints
+    inner = max_welfare_caei(cell_goods(instance, breakpoints))
     assert inner is not None, "the empty served set is always supportable on cake"
     solution = CaeiSolution(
-        _carve_cells(partition.cells, inner.allocation),
-        _cell_curve(partition, inner.prices),
+        carve_cells(breakpoints, inner.allocation),
+        cell_curve(breakpoints, inner.prices),
         inner.served,
         inner.welfare,
         provenance="max_welfare_fixed_agents",
@@ -339,7 +297,7 @@ def price_curve_for_allocation(instance: CakeInstance, allocation):
         )
     pieces = tuple(canonicalize_piece(tuple(piece)) for piece in allocation)
     endpoints = [point for piece in pieces for pair in piece for point in pair]
-    partition = refine_partition(instance, endpoints, "none")
+    partition = refine_partition(instance, endpoints)
     cells = partition.cells
     shares = tuple(
         tuple(
@@ -348,17 +306,17 @@ def price_curve_for_allocation(instance: CakeInstance, allocation):
         )
         for piece in pieces
     )
-    prices = prices_for_allocation(_cell_goods(instance, partition), shares)
+    prices = prices_for_allocation(cell_goods(instance, partition.breakpoints), shares)
     if prices is None:
         return None
-    return _cell_curve(partition, prices)
+    return cell_curve(partition.breakpoints, prices)
 
 
 def allocation_for_price_curve(instance: CakeInstance, curve: PriceCurve):
     """A partition of the cake compatible with fixed prices, or None."""
-    partition = refine_partition(instance, curve.breakpoints, "none")
+    partition = refine_partition(instance, curve.breakpoints)
     cell_prices = [curve.piece_price((cell,)) for cell in partition.cells]
-    shares = allocation_for_prices(_cell_goods(instance, partition), cell_prices)
+    shares = allocation_for_prices(cell_goods(instance, partition.breakpoints), cell_prices)
     if shares is None:
         return None
-    return _carve_cells(partition.cells, shares)
+    return carve_cells(partition.breakpoints, shares)

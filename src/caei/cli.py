@@ -102,6 +102,40 @@ def format_number(value, exact: bool, where: str) -> str:
         ) from None
 
 
+def _parse_list(value, where: str) -> list:
+    """A JSON array; a string is not taken as the list of its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise CliError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _parse_numbers(values, where: str, parse=parse_number) -> list:
+    """A JSON array of numbers, the k-th located as ``where[k]``."""
+    return [parse(v, f"{where}[{k}]") for k, v in enumerate(_parse_list(values, where))]
+
+
+def _parse_pieces(values, where: str) -> list:
+    """A JSON array of cake pieces, each a list of [lo, hi] pairs."""
+    pieces = []
+    for i, piece in enumerate(_parse_list(values, where)):
+        intervals = []
+        for k, pair in enumerate(_parse_list(piece, f"{where}[{i}]")):
+            at = f"{where}[{i}][{k}]"
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise CliError(f"{at}: expected an [lo, hi] pair")
+            intervals.append((parse_number(pair[0], at), parse_number(pair[1], at)))
+        pieces.append(intervals)
+    return pieces
+
+
+def _parse_rows(values, where: str, parse=parse_number) -> list:
+    """A JSON array of number arrays, the row i located as ``where[i]``."""
+    return [
+        _parse_numbers(row, f"{where}[{i}]", parse)
+        for i, row in enumerate(_parse_list(values, where))
+    ]
+
+
 def load_json_file(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -126,31 +160,11 @@ def instance_from_json(data):
         raise CliError(f"model: expected one of {', '.join(MODELS)}, got {model!r}")
     try:
         if model == "divisible":
-            demands = [
-                [parse_number(v, f"demands[{i}][{j}]") for j, v in enumerate(row)]
-                for i, row in enumerate(data["demands"])
-            ]
-            return model, DivisibleInstance(demands)
+            return model, DivisibleInstance(_parse_rows(data["demands"], "demands"))
         if model == "cake":
-            demands = []
-            for i, piece in enumerate(data["demands"]):
-                intervals = []
-                for k, pair in enumerate(piece):
-                    where = f"demands[{i}][{k}]"
-                    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                        raise CliError(f"{where}: expected an [lo, hi] pair")
-                    intervals.append(
-                        (parse_number(pair[0], where), parse_number(pair[1], where))
-                    )
-                demands.append(intervals)
-            return model, CakeInstance(demands)
-        quantities = [
-            parse_count(q, f"quantities[{j}]") for j, q in enumerate(data["quantities"])
-        ]
-        demands = [
-            [parse_count(v, f"demands[{i}][{k}]") for k, v in enumerate(row)]
-            for i, row in enumerate(data["demands"])
-        ]
+            return model, CakeInstance(_parse_pieces(data["demands"], "demands"))
+        quantities = _parse_numbers(data["quantities"], "quantities", parse_count)
+        demands = _parse_rows(data["demands"], "demands", parse_count)
         return model, DiscreteInstance(quantities, demands)
     except KeyError as err:
         raise CliError(f"missing field {err.args[0]!r}") from None
@@ -227,40 +241,21 @@ def solution_from_json(data, model: str) -> CaeiSolution:
     try:
         if model == "cake":
             raw = data["prices"]
+            if not isinstance(raw, dict):
+                raise CliError("prices: expected an object with breakpoints and densities")
             prices = PriceCurve(
-                [parse_number(b, "prices.breakpoints") for b in raw["breakpoints"]],
-                [parse_number(d, "prices.densities") for d in raw["densities"]],
+                _parse_numbers(raw["breakpoints"], "prices.breakpoints"),
+                _parse_numbers(raw["densities"], "prices.densities"),
             )
-            allocation = tuple(
-                tuple(
-                    (parse_number(lo, "allocation"), parse_number(hi, "allocation"))
-                    for lo, hi in piece
-                )
-                for piece in data["allocation"]
-            )
+            rows = _parse_pieces(data["allocation"], "allocation")
         else:
-            prices = tuple(
-                parse_number(p, f"prices[{j}]") for j, p in enumerate(data["prices"])
-            )
-            if model == "discrete":
-                allocation = tuple(
-                    tuple(
-                        parse_count(c, f"allocation[{i}][{j}]")
-                        for j, c in enumerate(row)
-                    )
-                    for i, row in enumerate(data["allocation"])
-                )
-            else:
-                allocation = tuple(
-                    tuple(parse_number(v, "allocation") for v in row)
-                    for row in data["allocation"]
-                )
+            prices = tuple(_parse_numbers(data["prices"], "prices"))
+            parse = parse_count if model == "discrete" else parse_number
+            rows = _parse_rows(data["allocation"], "allocation", parse)
         return CaeiSolution(
-            allocation=allocation,
+            allocation=tuple(tuple(row) for row in rows),
             prices=prices,
-            served=frozenset(
-                parse_count(i, f"served[{k}]") for k, i in enumerate(data["served"])
-            ),
+            served=frozenset(_parse_numbers(data["served"], "served", parse_count)),
             welfare=parse_count(data["welfare"], "welfare"),
             exact=bool(data.get("exact", True)),
             provenance=str(data.get("provenance", "")),

@@ -290,6 +290,49 @@ class PriceCurve:
         return total
 
 
+# ---------------------------------------------------------------------------
+# cake cells as divisible goods
+#
+# Breakpoints that include every demand endpoint cut the cake into cells
+# each agent wants whole or not at all, so cell k is one divisible good.
+
+
+def cell_goods(instance: CakeInstance, breakpoints) -> DivisibleInstance:
+    """The divisible instance whose good k is the cell
+    [breakpoints[k], breakpoints[k+1]]: an agent needs all of the cells
+    inside its demand and none of the others."""
+    width = len(breakpoints) - 1
+    rows = []
+    for piece in instance.demands:
+        inside = set(cells_within(breakpoints, piece))
+        rows.append(tuple(Fraction(1) if k in inside else ZERO for k in range(width)))
+    return DivisibleInstance(rows)
+
+
+def carve_cells(breakpoints, shares) -> tuple[Piece, ...]:
+    """Agent i's piece holds ``shares[i][k]`` of each cell k, the cell
+    cut left to right in agent-index order."""
+    pieces = [[] for _ in shares]
+    for k, (lo, hi) in enumerate(zip(breakpoints, breakpoints[1:])):
+        cursor = lo
+        for i, row in enumerate(shares):
+            width = row[k] * (hi - lo)
+            if width > 0:
+                pieces[i].append((cursor, cursor + width))
+                cursor += width
+        assert cursor <= hi, "cell shares exceed the cell"
+    return tuple(canonicalize_piece(tuple(p)) for p in pieces)
+
+
+def cell_curve(breakpoints, cell_prices) -> PriceCurve:
+    """The curve that charges ``cell_prices[k]`` for cell k, spread evenly."""
+    densities = tuple(
+        price / (hi - lo)
+        for price, lo, hi in zip(cell_prices, breakpoints, breakpoints[1:])
+    )
+    return PriceCurve(breakpoints, densities)
+
+
 def validate_price_vector(prices, length: int) -> tuple:
     prices = tuple(prices)
     if len(prices) != length:
@@ -335,9 +378,7 @@ def bundle_price(prices, bundle):
 
 def demand_bundle(instance: Instance, agent: int):
     """The agent's demand in bundle form (for pricing queries)."""
-    if isinstance(instance, DivisibleInstance):
-        return instance.demands[agent]
-    if isinstance(instance, CakeInstance):
+    if isinstance(instance, (DivisibleInstance, CakeInstance)):
         return instance.demands[agent]
     if isinstance(instance, DiscreteInstance):
         return tuple(

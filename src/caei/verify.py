@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactmath import GREATER_EQUAL, LESS_EQUAL, LinearProgram, OPTIMAL, simplex_solve
@@ -21,11 +21,12 @@ from .model import (
     DiscreteInstance,
     DivisibleInstance,
     Instance,
-    PriceCurve,
     ZERO,
     bundle_price,
     canonicalize_piece,
-    cells_within,
+    carve_cells,
+    cell_curve,
+    cell_goods,
     compute_served,
     demand_bundle,
     piece_contains,
@@ -116,16 +117,14 @@ def verify_caei(
 
 def _covers_demand(instance, agent: int, bundle, tolerance) -> bool:
     """Does the bundle contain the agent's demand, up to the tolerance?"""
-    if tolerance == 0:
+    if tolerance == 0 or isinstance(instance, DiscreteInstance):
+        # copy counts are whole: a tolerance loosens nothing
         return single_minded_utility(instance, agent, bundle) == 1
+    demand = instance.demands[agent]
     if isinstance(instance, DivisibleInstance):
-        demand = instance.demands[agent]
         return all(x >= v - tolerance for x, v in zip(bundle, demand))
-    if isinstance(instance, CakeInstance):
-        demand = instance.demands[agent]
-        held = piece_intersection(canonicalize_piece(bundle), demand)
-        return piece_length(demand) - piece_length(held) <= tolerance
-    return single_minded_utility(instance, agent, bundle) == 1
+    held = piece_intersection(canonicalize_piece(bundle), demand)
+    return piece_length(demand) - piece_length(held) <= tolerance
 
 
 def _check_partition(instance, allocation, tolerance, relaxed, violations):
@@ -415,66 +414,20 @@ def _search_divisible(instance):
 
 
 def _search_cake(instance):
-    n = instance.num_agents
-    points = sorted({p for piece in instance.demands for lo, hi in piece for p in (lo, hi)} | {Fraction(0), Fraction(1)})
-    cells = [((lo, hi),) for lo, hi in zip(points, points[1:])]
-    wants = [set(cells_within(points, demand)) for demand in instance.demands]
-    for subset in _subsets_by_welfare(n):
-        served = set(subset)
-        if any(
-            sum(1 for i in served if k in wants[i]) > 1 for k in range(len(cells))
-        ):
-            continue
-        costs = [
-            {f"p{k}": 1 for k in range(len(cells)) if k in wants[i]} for i in range(n)
-        ]
-        prices = _supporting_prices(*_served_rows(costs, served), len(cells), cap=n)
-        if prices is None:
-            continue
-        pieces: list[list] = [[] for _ in range(n)]
-        spends = [
-            sum(prices[k] for k in range(len(cells)) if k in wants[i])
-            if i in served
-            else Fraction(0)
-            for i in range(n)
-        ]
-        for k, cell in enumerate(cells):
-            owner = next((i for i in served if k in wants[i]), None)
-            if owner is not None:
-                pieces[owner].append(cell[0])
-                continue
-            (lo, hi) = cell[0]
-            length = hi - lo
-            if prices[k] == 0:
-                pieces[0].append((lo, hi))
-                continue
-            cursor = lo
-            for i in range(n):
-                if cursor == hi:
-                    break
-                share = min(hi - cursor, (1 - spends[i]) / prices[k] * length)
-                if share > 0:
-                    pieces[i].append((cursor, cursor + share))
-                    spends[i] += prices[k] * share / length
-                    cursor += share
-            assert cursor == hi, "budget water-fill must absorb the whole cell"
-        breakpoints = tuple(points)
-        curve = PriceCurve(
-            breakpoints,
-            tuple(
-                prices[k] / (hi - lo)
-                for k, (lo, hi) in enumerate(zip(points, points[1:]))
-            ),
-        )
-        allocation = tuple(canonicalize_piece(p) for p in pieces)
-        return CaeiSolution(
-            allocation,
-            curve,
-            frozenset(served),
-            len(served),
-            provenance="oracle_caei_search",
-        )
-    return None
+    # the cells between demand endpoints are divisible goods each agent
+    # wants whole or not at all
+    points = sorted(
+        {Fraction(0), Fraction(1)}
+        | {p for piece in instance.demands for lo, hi in piece for p in (lo, hi)}
+    )
+    found = _search_divisible(cell_goods(instance, points))
+    if found is None:
+        return None
+    return replace(
+        found,
+        allocation=carve_cells(points, found.allocation),
+        prices=cell_curve(points, found.prices),
+    )
 
 
 def _search_discrete(instance):

@@ -40,37 +40,35 @@ def test_partition_validation():
     assert Partition((F(0), F(1))).cells == ((F(0), F(1)),)
 
 
-def test_refine_midpoints_splits_each_demand():
-    part = refine_partition(interval_instance((0, 1)), (), "midpoints")
-    assert part.breakpoints == (F(0), F(1, 2), F(1))
-
-
 def test_refine_none_keeps_endpoints():
-    part = refine_partition(interval_instance((F(1, 4), F(3, 4))), (), "none")
+    part = refine_partition(interval_instance((F(1, 4), F(3, 4))))
     assert part.breakpoints == (F(0), F(1, 4), F(3, 4), F(1))
 
 
-def test_refine_per_demander_count():
-    inst = interval_instance((0, F(3, 5)), (F(3, 10), 1))
-    part = refine_partition(inst, (), "per_demander_count")
-    # the doubly-demanded middle cell splits in two, the others stay
-    assert part.breakpoints == (F(0), F(3, 10), F(9, 20), F(3, 5), F(1))
-
-
 def test_refine_rejects_bad_input():
-    inst = interval_instance((0, 1))
     with pytest.raises(ValueError):
-        refine_partition(inst, (F(3, 2),), "none")
-    with pytest.raises(ValueError):
-        refine_partition(inst, (), "thirds")
+        refine_partition(interval_instance((0, 1)), (F(3, 2),))
 
 
 def test_refine_accepts_extra_points():
-    part = refine_partition(interval_instance((0, 1)), (F(1, 3),), "none")
+    part = refine_partition(interval_instance((0, 1)), (F(1, 3),))
     assert F(1, 3) in part.breakpoints
 
 
 # --- existence -------------------------------------------------------------
+
+
+def test_existence_curve_breaks_at_every_demand_midpoint():
+    for demands in (
+        [[(0, 1)]],
+        [[(0, F(1, 2))], [(F(1, 2), 1)], [(0, 1)]],
+        [[(F(1, 8), F(1, 4)), (F(1, 2), F(7, 8))], [(F(1, 4), F(3, 4))], [(F(1, 4), F(3, 4))]],
+    ):
+        inst = CakeInstance(demands)
+        intervals = [interval for piece in inst.demands for interval in piece]
+        # the cells are cut at the endpoints and midpoints, nowhere else
+        expected = {F(0), F(1)} | {p for lo, hi in intervals for p in (lo, (lo + hi) / 2, hi)}
+        assert solve_existence(inst).prices.breakpoints == tuple(sorted(expected))
 
 
 def test_existence_single_agent_gets_everything():
@@ -206,6 +204,15 @@ def test_fixed_agents_noncontiguous_overlap():
     )
     sol = max_welfare_fixed_agents(inst)
     assert sol.welfare == 1
+
+
+def test_fixed_agents_cuts_only_at_endpoints():
+    # the doubly demanded middle cell stays whole: its two demanders are
+    # priced alike, so splitting it could not change a verdict
+    inst = interval_instance((0, F(3, 5)), (F(3, 10), 1))
+    sol = max_welfare_fixed_agents(inst)
+    assert sol.prices.breakpoints == (F(0), F(3, 10), F(3, 5), F(1))
+    assert verify_caei(inst, sol, tolerance=0).is_caei
 
 
 def test_fixed_agents_matches_greedy_on_contiguous():

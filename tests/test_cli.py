@@ -88,6 +88,62 @@ def test_fractional_counts_rejected(capsys, tmp_path, target, path, where):
     assert f"{where}: expected a whole number" in err
 
 
+@pytest.mark.parametrize(
+    "instance,where",
+    [
+        ({"model": "discrete", "quantities": "11", "demands": [[0, 1], [1]]}, "quantities"),
+        ({"model": "discrete", "quantities": [1, 1], "demands": ["01", [1]]}, "demands[0]"),
+        ({"model": "divisible", "demands": ["11", "1"]}, "demands[0]"),
+        ({"model": "divisible", "demands": "1"}, "demands"),
+        ({"model": "cake", "demands": [[["0", "1"]], "01"]}, "demands[1]"),
+    ],
+    ids=["quantities", "discrete-row", "divisible-row", "divisible-demands", "cake-piece"],
+)
+def test_instance_strings_are_not_lists(capsys, tmp_path, instance, where):
+    # a string used to be read as the list of its characters
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(instance))
+    code, out, err = run(capsys, "solve", str(bad))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"error: {where}: expected a list, got str" in err
+
+
+@pytest.mark.parametrize(
+    "path,key,value,message",
+    [
+        (DIVISIBLE, ("prices",), "12", "prices: expected a list, got str"),
+        (DIVISIBLE, ("served",), "01", "served: expected a list, got str"),
+        (DIVISIBLE, ("allocation", 1), "10", "allocation[1]: expected a list, got str"),
+        (DIVISIBLE, ("allocation", 1), 3, "allocation[1]: expected a list, got int"),
+        (DIVISIBLE, ("allocation", 1, 0), "x", "allocation[1][0]: cannot parse number 'x'"),
+        (DISCRETE, ("allocation",), "1", "allocation: expected a list, got str"),
+        (CAKE, ("prices",), ["1"], "prices: expected an object with breakpoints and densities"),
+        (CAKE, ("prices", "densities", 1), "zz", "prices.densities[1]: cannot parse number 'zz'"),
+        (CAKE, ("prices", "breakpoints"), "01", "prices.breakpoints: expected a list, got str"),
+        (CAKE, ("allocation", 0), "01", "allocation[0]: expected a list, got str"),
+        (CAKE, ("allocation", 0, 0), ["0", "1/8", "1/4"], "allocation[0][0]: expected an [lo, hi] pair"),
+        (CAKE, ("allocation", 2, 1, 0), "y", "allocation[2][1]: cannot parse number 'y'"),
+    ],
+    ids=[
+        "prices", "served", "row-string", "row-int", "number", "discrete-allocation",
+        "cake-prices", "density", "breakpoints", "piece", "triple", "endpoint",
+    ],
+)
+def test_solution_errors_are_located(capsys, tmp_path, path, key, value, message):
+    solution = tmp_path / "solution.json"
+    run(capsys, "solve", path, "--out", str(solution))
+    data = json.loads(solution.read_text())
+    *outer, last = key
+    node = data
+    for step in outer:
+        node = node[step]
+    node[last] = value
+    solution.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", path, str(solution))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message}\n"
+
+
 def test_unknown_model_rejected(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": "hybrid", "demands": []}')

@@ -1,6 +1,8 @@
 """Outcome verification, envy-freeness, and the brute-force oracles."""
 
+import hashlib
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -318,6 +320,35 @@ def test_oracle_search_cake():
     assert sol is not None
     assert sol.welfare == 1
     assert verify_caei(inst, sol).is_caei
+
+
+def _seeded_cake(rng):
+    """Up to six agents over at most as many demand types, each demand
+    one to three intervals on the twelfths grid."""
+    n = rng.randint(1, 6)
+    types = rng.randint(1, n)
+    pool = []
+    while len(pool) < types:
+        count = rng.randint(1, 3)
+        cuts = sorted(rng.sample(range(13), 2 * count))
+        piece = tuple((F(cuts[2 * t], 12), F(cuts[2 * t + 1], 12)) for t in range(count))
+        if piece not in pool:
+            pool.append(piece)
+    return CakeInstance([pool[i] if i < types else rng.choice(pool) for i in range(n)])
+
+
+def test_oracle_search_cake_outputs_are_pinned():
+    # Pins the served set, pieces and price curve the cake oracle finds
+    # on 300 seeded instances with duplicate types and multi-interval
+    # demands: a change to its cells, LP or carving changes the digest.
+    rng = random.Random(10)
+    lines = []
+    for _ in range(300):
+        sol = oracle_caei_search(_seeded_cake(rng))
+        curve = sol.prices
+        lines.append(f"{sorted(sol.served)} {sol.allocation} {curve.breakpoints} {curve.densities}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ec3cca81314bc199e0e1a9ac9e84c0d41a50bacfb93c24bac5042d8adffa0c3f"
 
 
 def test_oracle_search_discrete_none_when_impossible():
