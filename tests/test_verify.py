@@ -351,6 +351,37 @@ def test_oracle_search_cake_outputs_are_pinned():
     assert digest == "ec3cca81314bc199e0e1a9ac9e84c0d41a50bacfb93c24bac5042d8adffa0c3f"
 
 
+def _discrete_family():
+    """Every instance criterion 08 enumerates (up to 4 agents, 3 item
+    types, 2 copies, every item demanded), each multiset of demands in
+    its sorted order and, when that differs, reversed."""
+    for m in (1, 2, 3):
+        subsets = [
+            frozenset(s) for r in range(1, m + 1) for s in itertools.combinations(range(m), r)
+        ]
+        for quantities in itertools.product((1, 2), repeat=m):
+            for n in (1, 2, 3, 4):
+                for combo in itertools.combinations_with_replacement(subsets, n):
+                    if frozenset().union(*combo) != frozenset(range(m)):
+                        continue
+                    yield DiscreteInstance(quantities, combo)
+                    if combo != combo[::-1]:
+                        yield DiscreteInstance(quantities, combo[::-1])
+
+
+def test_oracle_search_discrete_outputs_are_pinned():
+    # Pins the served set, allocation and prices the discrete oracle
+    # finds on the whole criterion-08 family in two agent orders: a
+    # change to its enumeration order, pruning or LP changes the digest.
+    lines = []
+    for instance in _discrete_family():
+        sol = oracle_caei_search(instance)
+        lines.append("None" if sol is None else f"{sorted(sol.served)} {sol.allocation} {sol.prices}")
+    assert len(lines) == 3992
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "402fb20f0cef30112f3f3f7b2eba522bb0bafd460da1681fb490dbdda46eba3a"
+
+
 def test_oracle_search_discrete_none_when_impossible():
     inst = DiscreteInstance((1,), (frozenset({0}), frozenset({0})))
     assert oracle_caei_search(inst) is None
