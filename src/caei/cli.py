@@ -238,6 +238,9 @@ def solution_from_json(data, model: str) -> CaeiSolution:
         raise CliError(
             f"solution is for model {data.get('model')!r}, instance is {model!r}"
         )
+    exact = data.get("exact", True)
+    if not isinstance(exact, bool):
+        raise CliError(f"exact: expected true or false, got {exact!r}")
     try:
         if model == "cake":
             raw = data["prices"]
@@ -257,7 +260,7 @@ def solution_from_json(data, model: str) -> CaeiSolution:
             prices=prices,
             served=frozenset(_parse_numbers(data["served"], "served", parse_count)),
             welfare=parse_count(data["welfare"], "welfare"),
-            exact=bool(data.get("exact", True)),
+            exact=exact,
             provenance=str(data.get("provenance", "")),
         )
     except KeyError as err:

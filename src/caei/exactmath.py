@@ -6,7 +6,9 @@ The simplex tableau itself holds integers only: each row is a list of
 int numerators over one positive row denominator, and the cost row is
 carried the same way.  A pivot multiplies rows out and divides by their
 gcd, the ratio test cross-multiplies numerators, and values leave the
-tableau as Fractions.
+tableau as Fractions.  Before they leave, the vertex is put over one
+common denominator and re-checked in integers against every bound and
+every source row, so each returned vertex is checked exactly.
 
 The simplex solver uses Bland's lowest-index pivot rule, which both
 prevents cycling and makes the returned vertex a deterministic
@@ -39,6 +41,7 @@ EQUAL = "=="
 GREATER_EQUAL = ">="
 
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_FLIPPED = {LESS_EQUAL: GREATER_EQUAL, EQUAL: EQUAL, GREATER_EQUAL: LESS_EQUAL}
 
 
 class LpError(ValueError):
@@ -120,39 +123,31 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
     """
     n = len(lp._variables)
     col = {name: j for j, name in enumerate(lp._variables)}
-    rows = lp._constraints + [
-        ({name: Fraction(1)}, LESS_EQUAL, upper)
-        for name, upper in lp._variables.items()
-        if upper is not None
-    ]
-    # After the sign flip a row's slack is +1 exactly for "<=" with b >= 0
-    # and ">=" with b < 0; that slack starts basic, other rows get an
-    # artificial column.
-    slack_basic = [rel != EQUAL and (rel == LESS_EQUAL) == (b >= 0) for _, rel, b in rows]
-    n_real = n + sum(rel != EQUAL for _, rel, _ in rows)
-    width = n_real + slack_basic.count(False)
+    source = _integer_rows(lp, col)
+    # A "<=" row's slack (+d) starts the basis; every other row starts
+    # with an artificial column.
+    n_real = n + sum(rel != EQUAL for _, rel, _, _ in source)
+    width = n_real + sum(rel != LESS_EQUAL for _, rel, _, _ in source)
 
     # Row i holds the values tableau[i][j] / denom[i], with denom[i] > 0.
     tableau: list[list[int]] = []
     denom: list[int] = []
     basis: list[int] = []
     slack, artificial = n, n_real
-    for (coeffs, rel, b), basic in zip(rows, slack_basic):
-        d = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
-        sign = -d if b < 0 else d
+    for coeffs, rel, b, d in source:
         row = [0] * (width + 1)
-        for name, c in coeffs.items():
-            row[col[name]] = c.numerator * sign // c.denominator
+        for j, a in coeffs:
+            row[j] = a
         if rel != EQUAL:
-            row[slack] = sign if rel == LESS_EQUAL else -sign
+            row[slack] = d if rel == LESS_EQUAL else -d
             slack += 1
-        if basic:
+        if rel == LESS_EQUAL:
             basis.append(slack - 1)
         else:
             row[artificial] = d
             basis.append(artificial)
             artificial += 1
-        row[-1] = b.numerator * sign // b.denominator
+        row[-1] = b
         tableau.append(row)
         denom.append(d)
 
@@ -241,15 +236,41 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
-    values = [Fraction(0)] * n_real
+    # the vertex over one common denominator: x_j = x[j] / common
+    common = lcm(*(denom[r] for r, b in enumerate(basis) if b < n))
+    x = [0] * n
     for r, b in enumerate(basis):
-        values[b] = Fraction(tableau[r][-1], denom[r])
-    assignment = {name: values[j] for name, j in col.items()}
-    objective_value = sum(
-        (c * assignment[name] for name, c in lp._objective.items()), Fraction(0)
-    )
-    _check_assignment(lp, assignment)
+        if b < n:
+            x[b] = tableau[r][-1] * (common // denom[r])
+    _check_vertex(source, x, common)
+    assignment = {name: Fraction(x[j], common) for name, j in col.items()}
+    objective_value = Fraction(-sum(c * v for c, v in zip(cost, x)), cost_denom * common)
     return LpOutcome(OPTIMAL, assignment, objective_value)
+
+
+def _integer_rows(lp, col):
+    """The constraints, then one ``x <= upper`` row per bounded variable,
+    each as (coefficients, relation, rhs, d) in integers.
+
+    d is the lcm of the row's denominators.  The row is multiplied by d,
+    or by -d when its rhs is negative (which flips "<=" and ">="), so
+    rhs >= 0; coefficients are (column, numerator) pairs.
+    """
+    bounds = [
+        ({name: Fraction(1)}, LESS_EQUAL, upper)
+        for name, upper in lp._variables.items()
+        if upper is not None
+    ]
+    rows = []
+    for coeffs, rel, b in lp._constraints + bounds:
+        d = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
+        sign = d
+        if b < 0:
+            sign = -d
+            rel = _FLIPPED[rel]
+        ints = [(col[name], c.numerator * sign // c.denominator) for name, c in coeffs.items()]
+        rows.append((ints, rel, b.numerator * sign // b.denominator, d))
+    return rows
 
 
 def _eliminate(row, d, f, prow, pd):
@@ -268,19 +289,20 @@ def _eliminate(row, d, f, prow, pd):
     return new, d
 
 
-def _check_assignment(lp, assignment):
-    """Defensive exactness check on the returned vertex."""
-    for name, upper in lp._variables.items():
-        x = assignment[name]
-        if x < 0:
-            raise AssertionError(f"simplex produced {name}={x} < 0")
-        if upper is not None and x > upper:
-            raise AssertionError(f"simplex produced {name}={x} > {upper}")
-    for coeffs, rel, b in lp._constraints:
-        lhs = sum((c * assignment[n] for n, c in coeffs.items()), Fraction(0))
-        ok = lhs <= b if rel == LESS_EQUAL else lhs >= b if rel == GREATER_EQUAL else lhs == b
-        if not ok:
-            raise AssertionError(f"simplex vertex violates {coeffs} {rel} {b} (lhs={lhs})")
+def _check_vertex(rows, x, common):
+    """Exact check of the vertex x_j = x[j] / common, common > 0, against
+    x >= 0 and every integer row of `_integer_rows`: row r holds when
+    sum(a * x[j]) compares to rhs * common as its relation says."""
+    for j, v in enumerate(x):
+        if v < 0:
+            raise AssertionError(f"simplex produced x{j} = {v}/{common} < 0")
+    for r, (coeffs, rel, b, _) in enumerate(rows):
+        lhs = sum(a * x[j] for j, a in coeffs)
+        b *= common
+        if not (lhs <= b if rel == LESS_EQUAL else lhs >= b if rel == GREATER_EQUAL else lhs == b):
+            raise AssertionError(
+                f"simplex vertex violates row {r}: {lhs}/{common} {rel} {b}/{common}"
+            )
 
 
 def solve_linear_system(

@@ -27,7 +27,6 @@ from .model import (
     carve_cells,
     cell_curve,
     cell_goods,
-    compute_served,
     demand_bundle,
     piece_contains,
     piece_intersection,
@@ -294,6 +293,15 @@ def oracle_caei_search(instance: Instance) -> CaeiSolution | None:
     production solvers: agent subsets with a price-space LP for the
     continuous models, full allocation enumeration for discrete items.
     Returns None when no priced allocation satisfies the definition.
+
+    The discrete search walks every allocation in a fixed order and
+    keeps the first one of greatest welfare whose price LP is feasible.
+    It pays for an LP only when it must: each item column carries agent
+    masks, so an allocation's unserved agents and envy are bit
+    operations; an allocation that cannot raise the welfare, or leaves an
+    agent unserved while another holds its whole demand, is dropped
+    before its rows are built; and an LP whose set of rows has already
+    proved infeasible is not solved again.
     """
     if isinstance(instance, DivisibleInstance):
         _guard_continuous(instance)
@@ -431,8 +439,15 @@ def _search_cake(instance):
 
 
 def _search_discrete(instance):
+    """The first allocation, in product order over the item columns, of
+    the greatest welfare that some prices support.
+
+    A price LP's feasibility is a function of its set of rows, so an
+    infeasible set is remembered and skipped; feasible LPs are solved
+    with their rows in agent order, which fixes the prices returned.
+    """
     n, m = instance.num_agents, instance.num_items
-    singleton_agents = [i for i in range(n) if len(instance.demands[i]) == 1]
+    demands = instance.demands
 
     def compositions(total, parts):
         if parts == 1:
@@ -442,37 +457,69 @@ def _search_discrete(instance):
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
-    best: CaeiSolution | None = None
-    per_item = [list(compositions(q, n)) for q in instance.quantities]
-    for columns in itertools.product(*per_item):
-        allocation = tuple(
-            tuple(columns[j][i] for j in range(m)) for i in range(n)
-        )
-        served = compute_served(instance, allocation)
-        if best is not None and len(served) <= best.welfare:
-            continue
-        # An allocation leaving a singleton-demand agent unserved is never
-        # supportable: pricing the lone item out of reach makes every
-        # holder of a copy overspend.
-        if any(i not in served for i in singleton_agents):
-            continue
-        afford = [
-            {f"p{j}": c for j, c in enumerate(row) if c} for row in allocation
+    # Each item column comes with two agent masks: the agents that demand
+    # the item and hold no copy of it, and the holders of a copy.  An
+    # allocation's unserved agents are the union of its columns' first
+    # masks.
+    per_item = [
+        [
+            (
+                sum(1 << i for i in range(n) if j in demands[i] and not column[i]),
+                sum(1 << i for i in range(n) if column[i]),
+                column,
+            )
+            for column in compositions(q, n)
         ]
+        for j, q in enumerate(instance.quantities)
+    ]
+    wants = [(1 << i, tuple(sorted(d))) for i, d in enumerate(demands)]
+
+    def envied(unserved, choice):
+        for bit, items in wants:
+            if unserved & bit:
+                holders = -1
+                for j in items:
+                    holders &= choice[j][1]
+                if holders:
+                    return True
+        return False
+
+    best: CaeiSolution | None = None
+    infeasible = set()
+    for choice in itertools.product(*per_item):
+        unserved = 0
+        for missing, _, _ in choice:
+            unserved |= missing
+        welfare = n - unserved.bit_count()
+        if best is not None and welfare <= best.welfare:
+            continue
+        # An unserved agent whose whole demand another agent holds is
+        # never priced out: that bundle contains its demand and costs at
+        # most 1.  (A singleton demand always has such a holder.)
+        if envied(unserved, choice):
+            continue
+        allocation = tuple(zip(*(column for _, _, column in choice)))
+        # The LP's feasibility depends only on its set of rows.  Past the
+        # envy check the unserved agents are exactly those whose demand
+        # no bundle holds, so the set of bundles fixes every row.
+        bundles = frozenset(row for row in allocation if any(row))
+        if bundles in infeasible:
+            continue
+        afford = [{f"p{j}": c for j, c in enumerate(row) if c} for row in allocation]
         priced_out = [
-            None if i in served else {f"p{j}": 1 for j in instance.demands[i]}
-            for i in range(n)
+            {f"p{j}": 1 for j in demands[i]} if unserved >> i & 1 else None for i in range(n)
         ]
         prices = _supporting_prices(afford, priced_out, m)
         if prices is None:
+            infeasible.add(bundles)
             continue
         best = CaeiSolution(
             allocation,
             tuple(prices),
-            served,
-            len(served),
+            frozenset(i for i in range(n) if not unserved >> i & 1),
+            welfare,
             provenance="oracle_caei_search",
         )
-        if best.welfare == n:
+        if welfare == n:
             break
     return best

@@ -53,6 +53,14 @@ def test_solution_roundtrip_is_lossless():
     assert solution_from_json(payload, model) == replace(solution, trace=())
 
 
+def test_solution_exact_is_a_json_boolean():
+    model, instance = instance_from_json(json.loads(Path(DIVISIBLE).read_text()))
+    payload = solution_to_json(model, divisible.max_welfare_caei(instance))
+    assert solution_from_json({**payload, "exact": False}, model).exact is False
+    del payload["exact"]
+    assert solution_from_json(payload, model).exact is True
+
+
 def test_float_literals_rejected(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": "divisible", "demands": [[0.5]]}')
@@ -123,10 +131,15 @@ def test_instance_strings_are_not_lists(capsys, tmp_path, instance, where):
         (CAKE, ("allocation", 0), "01", "allocation[0]: expected a list, got str"),
         (CAKE, ("allocation", 0, 0), ["0", "1/8", "1/4"], "allocation[0][0]: expected an [lo, hi] pair"),
         (CAKE, ("allocation", 2, 1, 0), "y", "allocation[2][1]: cannot parse number 'y'"),
+        (DIVISIBLE, ("exact",), "false", "exact: expected true or false, got 'false'"),
+        (DISCRETE, ("exact",), 0, "exact: expected true or false, got 0"),
+        (CAKE, ("exact",), 1, "exact: expected true or false, got 1"),
+        (DIVISIBLE, ("exact",), None, "exact: expected true or false, got None"),
     ],
     ids=[
         "prices", "served", "row-string", "row-int", "number", "discrete-allocation",
         "cake-prices", "density", "breakpoints", "piece", "triple", "endpoint",
+        "exact-string", "exact-zero", "exact-one", "exact-null",
     ],
 )
 def test_solution_errors_are_located(capsys, tmp_path, path, key, value, message):

@@ -23,6 +23,8 @@ from caei.exactmath import (
     LinearProgram,
     LpError,
     LpOutcome,
+    _check_vertex,
+    _integer_rows,
     simplex_solve,
     solve_linear_system,
 )
@@ -363,6 +365,35 @@ def test_wide_programs_match_fraction_reference():
         if out.status == OPTIMAL:
             assert all(type(v) is F for v in out.assignment.values()), f"trial {trial}"
             assert type(out.objective_value) is F, f"trial {trial}"
+
+
+@pytest.mark.parametrize(
+    "relation, rhs, upper, vertex, index, step",
+    [
+        ("<=", F(2, 3), None, (4, 0), 0, 1),  # x/2 + y <= 2/3, x up by 1/3
+        (">=", F(2, 3), None, (0, 2), 1, -1),  # y down by 1/3
+        ("==", F(2, 3), None, (0, 2), 1, 1),  # y up by 1/3
+        ("==", F(2, 3), None, (0, 2), 1, -1),  # y down by 1/3
+        (">=", F(-2, 3), None, (4, 0), 0, 1),  # -x/2 - y >= -2/3, flipped to "<="
+        ("<=", 5, F(2, 3), (2, 0), 0, 1),  # the bound x <= 2/3
+        ("<=", F(2, 3), None, (0, 0), 1, -1),  # y = -1/3
+    ],
+)
+def test_vertex_check_catches_a_vertex_off_by_one_over_common(
+    relation, rhs, upper, vertex, index, step
+):
+    lp = LinearProgram()
+    lp.add_variable("x", upper=upper)
+    lp.add_variable("y")
+    sign = -1 if rhs < 0 else 1
+    lp.add_constraint({"x": sign * F(1, 2), "y": sign}, relation, rhs)
+    rows = _integer_rows(lp, {"x": 0, "y": 1})
+    assert all(b >= 0 for _, _, b, _ in rows)
+    _check_vertex(rows, list(vertex), 3)
+    off = list(vertex)
+    off[index] += step
+    with pytest.raises(AssertionError):
+        _check_vertex(rows, off, 3)
 
 
 def test_undeclared_variable_is_an_input_error():

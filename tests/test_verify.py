@@ -1,10 +1,12 @@
 """Outcome verification, envy-freeness, and the brute-force oracles."""
 
+import ast
 import hashlib
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -397,3 +399,27 @@ def test_oracle_search_guards():
     )
     with pytest.raises(OracleGuardError):
         oracle_caei_search(wide)
+
+
+def _imported_modules(tree, package="caei"):
+    """Every module name an import in the tree can bind, relative
+    imports resolved against the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, [package, node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_verify_imports_no_solver_module():
+    # the oracles are the referee the solvers are measured against, so
+    # they must not share the solvers' code
+    source = Path(__file__).resolve().parent.parent / "src" / "caei" / "verify.py"
+    names = set(_imported_modules(ast.parse(source.read_text())))
+    assert "caei.model" in names
+    for solver in ("caei.divisible", "caei.cake", "caei.discrete"):
+        assert not {name for name in names if name == solver or name.startswith(solver + ".")}
