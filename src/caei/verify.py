@@ -440,12 +440,8 @@ def _search_cake(instance):
 
 def _search_discrete(instance):
     """The first allocation, in product order over the item columns, of
-    the greatest welfare that some prices support.
-
-    A price LP's feasibility is a function of its set of rows, so an
-    infeasible set is remembered and skipped; feasible LPs are solved
-    with their rows in agent order, which fixes the prices returned.
-    """
+    the greatest welfare that some prices support.  Its LP rows go in
+    agent order, which fixes the prices returned."""
     n, m = instance.num_agents, instance.num_items
     demands = instance.demands
 
@@ -472,13 +468,12 @@ def _search_discrete(instance):
         ]
         for j, q in enumerate(instance.quantities)
     ]
-    wants = [(1 << i, tuple(sorted(d))) for i, d in enumerate(demands)]
 
     def envied(unserved, choice):
-        for bit, items in wants:
-            if unserved & bit:
+        for i, demand in enumerate(demands):
+            if unserved >> i & 1:
                 holders = -1
-                for j in items:
+                for j in demand:
                     holders &= choice[j][1]
                 if holders:
                     return True

@@ -401,16 +401,16 @@ def test_oracle_search_guards():
         oracle_caei_search(wide)
 
 
-def _imported_modules(tree, package="caei"):
+def _imported_modules(tree):
     """Every module name an import in the tree can bind, relative
-    imports resolved against the package."""
+    imports resolved against the caei package."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
-                base = ".".join(filter(None, [package, node.module]))
+                base = ".".join(filter(None, ["caei", node.module]))
             yield base
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
