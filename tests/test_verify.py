@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from caei.cake import greedy_contiguous, max_welfare_fixed_agents, solve_existence
 from caei.model import (
     CaeiSolution,
     CakeInstance,
@@ -220,6 +221,159 @@ def test_cake_unserved_must_be_priced_out():
     # agent 1 wants all of the cake at cost 1: affordable, so not a CAEI
     report = verify_caei(inst, sol)
     assert not report.optimal_bundles_ok
+
+
+
+# --- cake reports pinned ---------------------------------------------------
+
+
+def _report_lines(inst, sol):
+    """The reports on a cake solution and six tampered copies of it, each
+    at tolerance 0, at 1/100 and relaxed, then its envy verdict; an
+    error is recorded by its type and message."""
+    n = inst.num_agents
+    rng = random.Random(repr(sol.allocation))
+    pieces = [list(p) for p in sol.allocation]
+    i, j = rng.randrange(n), rng.randrange(n)
+    moved = [list(p) for p in pieces]
+    if moved[i]:
+        t = rng.randrange(len(moved[i]))
+        lo, hi = moved[i][t]
+        # mostly inward or outward within the cake; now and then reversed
+        step = F(rng.choice((-1, 1)), rng.choice((5, 48, 97)))
+        if rng.random() < 0.5:
+            moved[i][t] = (lo + step if 0 <= lo + step else lo - step, hi)
+        else:
+            moved[i][t] = (lo, hi + step if hi + step <= 1 else hi - step)
+    k = rng.randrange(len(sol.prices.densities))
+    densities = list(sol.prices.densities)
+    densities[k] = abs(densities[k] + F(rng.choice((-1, 1)), rng.randint(2, 9)))
+    swapped = list(pieces)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    emptied = list(pieces)
+    emptied[i] = []
+    a, b = sorted(rng.sample(range(121), 2))
+    extra = list(pieces)
+    extra[j] = pieces[j] + [(F(a, 120), F(b, 120))]
+    flipped = sol.served ^ {i}
+    variants = [
+        sol,
+        replace(sol, allocation=tuple(map(tuple, moved))),
+        replace(sol, prices=PriceCurve(sol.prices.breakpoints, densities)),
+        replace(sol, served=flipped, welfare=len(flipped)),
+        replace(sol, allocation=tuple(map(tuple, swapped))),
+        replace(sol, allocation=tuple(map(tuple, emptied))),
+        replace(sol, allocation=tuple(map(tuple, extra))),
+    ]
+    lines = []
+    for variant in variants:
+        for check in (
+            lambda: verify_caei(inst, variant),
+            lambda: verify_caei(inst, variant, F(1, 100)),
+            lambda: verify_caei(inst, variant, relaxed=True),
+            lambda: is_envy_free(inst, variant.allocation),
+        ):
+            try:
+                lines.append(repr(check()))
+            except (TypeError, ValueError) as err:
+                lines.append(f"{type(err).__name__}: {err}")
+    return lines
+
+
+def _report_cake(rng):
+    """Up to seven agents over at most as many demand types, each demand
+    one to three intervals (a third of the cakes contiguous) on a grid
+    of 12, 35 or 60."""
+    n = rng.randint(1, 7)
+    types = rng.randint(1, n)
+    grid = rng.choice((12, 35, 60))
+    top = 1 if rng.random() < 1 / 3 else 3
+    pool = []
+    while len(pool) < types:
+        count = rng.randint(1, top)
+        cuts = sorted(rng.sample(range(grid + 1), 2 * count))
+        piece = tuple((F(cuts[2 * t], grid), F(cuts[2 * t + 1], grid)) for t in range(count))
+        if piece not in pool:
+            pool.append(piece)
+    return CakeInstance([pool[i] if i < types else rng.choice(pool) for i in range(n)])
+
+
+def test_cake_verify_reports_are_pinned():
+    # Pins every report verify_caei and is_envy_free give on 200 seeded
+    # cakes: the solvers' outputs and copies with a moved endpoint, a
+    # changed density, a flipped served entry, swapped pieces, an
+    # emptied piece and an extra interval.
+    rng = random.Random(12)
+    lines = []
+    for k in range(200):
+        inst = _report_cake(rng)
+        if inst.is_contiguous() and k % 2:
+            sol = greedy_contiguous(inst)
+        elif len(set(inst.demands)) <= 4 and k % 3 == 0:
+            sol = max_welfare_fixed_agents(inst)
+        else:
+            sol = solve_existence(inst)
+        lines += _report_lines(inst, sol)
+    assert len(lines) == 200 * 7 * 4
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "816d9cc4bb368b9d8022b4bdba956a06c55b8935231e88aca55708c35c18af06"
+
+
+def _one_curve_cake(demands, pieces, breakpoints, densities, served):
+    inst = CakeInstance(demands)
+    sol = CaeiSolution(pieces, PriceCurve(breakpoints, densities), frozenset(served), len(served))
+    return inst, sol
+
+
+def test_float_tolerance_bounds_are_exact():
+    # With tolerance=1e-6 the bounds are the floats 1 + 1e-6, 1 - 1e-6
+    # and 1e-6, each compared exactly: every figure below sits between
+    # one of them and the decimal value it rounds.
+    tol = 1e-6
+    whole = ((F(0), F(1)),)
+    over = (F(1 + tol) + 1 + F(1, 10**6)) / 2  # above the float 1 + 1e-6
+    inst, sol = _one_curve_cake([whole], (whole,), (0, 1), (over,), {0})
+    report = verify_caei(inst, sol, tolerance=tol)
+    assert not report.budgets_ok
+    assert report.violations == (Violation("agent 0", "overspends", over - 1),)
+    short = 1 - (F(tol) + F(1, 10**6)) / 2  # 1 - spend is above the float 1e-6
+    inst, sol = _one_curve_cake([whole], (whole,), (0, 1), (short,), {0})
+    report = verify_caei(inst, sol, tolerance=tol)
+    assert report.is_caei and not report.is_ceei
+    cost = (F(1 - tol) + 1 - F(1, 10**6)) / 2  # above the float 1 - 1e-6
+    half = ((F(0), F(1, 2)),)
+    inst, sol = _one_curve_cake(
+        [half, whole], (half, ((F(1, 2), F(1)),)), (0, F(1, 2), 1), (2 * cost, 0), {0}
+    )
+    report = verify_caei(inst, sol, tolerance=tol)
+    assert report.is_caei and report.violations == ()
+
+
+def _primes(count, start=5):
+    out, k = [], start
+    while len(out) < count:
+        if all(k % p for p in range(2, int(k**0.5) + 1)):
+            out.append(k)
+        k += 1
+    return out
+
+
+def test_wide_denominator_cake_verifies():
+    # 50 demands whose 100 endpoints have 100 distinct prime
+    # denominators, so the common denominator runs to hundreds of bits
+    primes = _primes(100)
+    rng = random.Random(100)
+    demands = []
+    for p, q in zip(primes[::2], primes[1::2]):
+        lo = F(rng.randrange(1, p), p)
+        hi = F(min(q, int(lo * q) + rng.randint(1, 3)), q)
+        demands.append([(lo, hi)] if lo < hi else [(hi, lo)])
+    inst = CakeInstance(demands)
+    sol = solve_existence(inst)
+    report = verify_caei(inst, sol)
+    assert report.is_caei and is_envy_free(inst, sol.allocation)
+    digest = hashlib.sha256("\n".join(_report_lines(inst, sol)).encode()).hexdigest()
+    assert digest == "57bb6ad6d0683292e0c880b09fdac42a772e51cf99dedc34918ec92fd0b5665d"
 
 
 # --- envy-freeness ---------------------------------------------------------
