@@ -246,10 +246,12 @@ def solution_from_json(data, model: str) -> CaeiSolution:
             raw = data["prices"]
             if not isinstance(raw, dict):
                 raise CliError("prices: expected an object with breakpoints and densities")
-            prices = PriceCurve(
-                _parse_numbers(raw["breakpoints"], "prices.breakpoints"),
-                _parse_numbers(raw["densities"], "prices.densities"),
-            )
+            breakpoints = _parse_numbers(raw["breakpoints"], "prices.breakpoints")
+            densities = _parse_numbers(raw["densities"], "prices.densities")
+            try:
+                prices = PriceCurve(breakpoints, densities)
+            except ValueError as err:
+                raise CliError(f"prices: {err}") from None
             rows = _parse_pieces(data["allocation"], "allocation")
         else:
             prices = tuple(_parse_numbers(data["prices"], "prices"))

@@ -8,6 +8,11 @@ budget, so a price system decides who can afford what.
 Conventions: agents and items are 0-indexed everywhere; the cake is
 the interval [0, 1]; all exact quantities are `fractions.Fraction`
 (the numeric EG path hands back floats and is flagged inexact).
+
+Cake arithmetic runs on an integer grid: ``grid_pieces`` writes every
+endpoint as an int over one common denominator, and a price curve's
+``CurveGrid`` prices int spans with int rates, so sweeps, sums and
+comparisons touch no Fraction.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .exactmath import as_fraction
 
@@ -114,6 +120,26 @@ def piece_contains(outer, inner: Piece) -> bool:
     return True
 
 
+def grid_pieces(groups, base: int = 1):
+    """Every endpoint of ``groups`` (lists of canonical pieces) as an int
+    over one common denominator: the lcm of ``base`` and the endpoint
+    denominators.  Returns that unit and the groups with int endpoints.
+    """
+    denominators = {x.denominator for group in groups for piece in group for pair in piece for x in pair}
+    unit = lcm(base, *denominators)
+    factor = {d: unit // d for d in denominators}
+    return unit, [
+        [
+            tuple(
+                (lo.numerator * factor[lo.denominator], hi.numerator * factor[hi.denominator])
+                for lo, hi in piece
+            )
+            for piece in group
+        ]
+        for group in groups
+    ]
+
+
 def cells_within(breakpoints, piece: Piece) -> list[int]:
     """Indices k of the cells [breakpoints[k], breakpoints[k+1]] that lie
     inside the canonical piece, in increasing order.
@@ -149,12 +175,12 @@ class DivisibleInstance:
         width = len(rows[0])
         for i, row in enumerate(rows):
             if len(row) != width:
-                raise ValueError("all demand rows must have the same number of goods")
+                raise ValueError(f"agent {i} demands {len(row)} goods, agent 0 demands {width}")
             if not row or all(v == 0 for v in row):
                 raise ValueError(f"agent {i} demands nothing")
             for j, v in enumerate(row):
                 if not (0 <= v <= 1):
-                    raise ValueError(f"demand[{i}][{j}] = {v} outside [0, 1]")
+                    raise ValueError(f"agent {i} demands {v} of good {j}, outside [0, 1]")
         object.__setattr__(self, "demands", rows)
 
     @property
@@ -175,7 +201,10 @@ class CakeInstance:
     def __init__(self, demands):
         pieces = []
         for i, raw in enumerate(demands):
-            piece = canonicalize_piece(raw)
+            try:
+                piece = canonicalize_piece(raw)
+            except ValueError as err:
+                raise ValueError(f"agent {i}: {err}") from None
             if not piece:
                 raise ValueError(f"agent {i} demands a null piece")
             pieces.append(piece)
@@ -202,8 +231,9 @@ class DiscreteInstance:
         qs = tuple(int(q) for q in quantities)
         if not qs:
             raise ValueError("instance needs at least one item type")
-        if any(q < 1 for q in qs):
-            raise ValueError("every item type needs at least one copy")
+        for j, q in enumerate(qs):
+            if q < 1:
+                raise ValueError(f"item {j} needs at least one copy, got {q}")
         sets = []
         for i, d in enumerate(demands):
             items = frozenset(int(j) for j in d)
@@ -256,37 +286,67 @@ class PriceCurve:
             raise ValueError("breakpoints must be strictly increasing")
         if len(dens) != len(bps) - 1:
             raise ValueError("need one density per cell")
-        if any(d < 0 for d in dens):
-            raise ValueError("negative price density")
+        for k, d in enumerate(dens):
+            if d < 0:
+                raise ValueError(f"negative price density {d} in cell {k}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "densities", dens)
 
     @cached_property
-    def _cumulative(self) -> tuple[Fraction, ...]:
-        bps = self.breakpoints
-        out = [ZERO]
-        for k, d in enumerate(self.densities):
-            out.append(out[-1] + d * (bps[k + 1] - bps[k]))
-        return tuple(out)
+    def grid(self) -> CurveGrid:
+        return CurveGrid(self)
 
     def piece_price(self, piece) -> Fraction:
         """Price of the union of the piece's intervals clipped to [0, 1].
 
-        Each merged span is priced by bisecting ``breakpoints`` for the
-        run of cells it meets: the two end cells pro rata, the whole
-        cells between them as one difference of a cached running total.
+        The merged spans are scaled onto the curve's grid (its unit times
+        whatever the piece's denominators add) and priced by the curve's
+        ``CurveGrid`` in ints.
         """
-        bps, densities, cum = self.breakpoints, self.densities, self._cumulative
-        total = ZERO
-        for lo, hi in _merged_spans((max(lo, ZERO), min(hi, 1)) for lo, hi in piece):
-            first = bisect_right(bps, lo) - 1
-            last = bisect_left(bps, hi) - 1
+        spans = _merged_spans((max(lo, ZERO), min(hi, 1)) for lo, hi in piece)
+        grid = self.grid
+        unit, ((scaled,),) = grid_pieces([[spans]], grid.unit)
+        return Fraction(grid.price(scaled, unit // grid.unit), grid.rate_unit * unit)
+
+
+class CurveGrid:
+    """A price curve in integers: breakpoint k is ``points[k] / unit`` and
+    cell k costs ``rates[k] / rate_unit`` per unit of length.
+
+    ``cumulative[k]`` is the price of [0, breakpoint k] times
+    ``rate_unit * unit``, so a run of whole cells costs one difference.
+    """
+
+    def __init__(self, curve: PriceCurve):
+        unit = lcm(*(b.denominator for b in curve.breakpoints))
+        points = [b.numerator * (unit // b.denominator) for b in curve.breakpoints]
+        rate_unit = lcm(*(d.denominator for d in curve.densities))
+        rates = [d.numerator * (rate_unit // d.denominator) for d in curve.densities]
+        cumulative = [0]
+        for k, rate in enumerate(rates):
+            cumulative.append(cumulative[-1] + rate * (points[k + 1] - points[k]))
+        self.unit, self.rate_unit = unit, rate_unit
+        self.points, self.rates, self.cumulative = points, rates, cumulative
+
+    def price(self, spans, scale: int = 1) -> int:
+        """Price of sorted disjoint spans inside [0, 1] whose endpoints are
+        ints over ``unit * scale``, times ``rate_unit * unit * scale``.
+
+        Each span meets a run of cells found by bisecting ``points``: the
+        two end cells pro rata, the whole cells between them from
+        ``cumulative``.
+        """
+        points, rates, cumulative = self.points, self.rates, self.cumulative
+        total = 0
+        for lo, hi in spans:
+            first = bisect_right(points, lo // scale) - 1
+            last = bisect_left(points, -(-hi // scale)) - 1
             if first == last:
-                total += densities[first] * (hi - lo)
+                total += rates[first] * (hi - lo)
                 continue
-            total += densities[first] * (bps[first + 1] - lo)
-            total += cum[last] - cum[first + 1]
-            total += densities[last] * (hi - bps[last])
+            total += rates[first] * (points[first + 1] * scale - lo)
+            total += scale * (cumulative[last] - cumulative[first + 1])
+            total += rates[last] * (hi - points[last] * scale)
         return total
 
 

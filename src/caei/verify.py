@@ -21,13 +21,14 @@ from .model import (
     DiscreteInstance,
     DivisibleInstance,
     Instance,
-    ZERO,
+    PriceCurve,
     bundle_price,
     canonicalize_piece,
     carve_cells,
     cell_curve,
     cell_goods,
     demand_bundle,
+    grid_pieces,
     piece_contains,
     piece_intersection,
     piece_length,
@@ -68,6 +69,13 @@ def verify_caei(
     demand costs more than 1.  ``is_ceei`` additionally requires every
     agent to spend the budget exactly.  ``tolerance`` loosens every
     numeric comparison for inexact solutions; leave it 0 for exact ones.
+
+    On cake the pieces are canonicalized first (a malformed interval
+    raises ValueError) and the checks then run on one integer grid:
+    lengths over the common denominator of every endpoint, money over
+    that times the curve's rate denominator, and each bound
+    ``tolerance``, ``1 + tolerance`` or ``1 - tolerance``, taken
+    exactly, rounded down to the grid.
     """
     violations: list[Violation] = []
     allocation = solution.allocation
@@ -78,40 +86,111 @@ def verify_caei(
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
 
-    partition_ok = _check_partition(instance, allocation, tolerance, relaxed, violations)
+    if isinstance(instance, CakeInstance):
+        partition_ok, spends, covered, cost, one = _cake_terms(
+            instance, solution, tolerance, relaxed, violations
+        )
+        bound = lambda x: _grid_floor(x, one)
+        magnitude = lambda x: Fraction(x, one)
+    else:
+        partition_ok = _check_partition(instance, allocation, tolerance, relaxed, violations)
+        spends = [bundle_price(prices, bundle) for bundle in allocation]
+        covered = lambda i: _covers_demand(instance, i, allocation[i], tolerance)
+        cost = lambda i: bundle_price(prices, demand_bundle(instance, i))
+        one = 1
+        bound = magnitude = lambda x: x
 
-    spends = []
     budgets_ok = True
-    for i in range(n):
-        spend = bundle_price(prices, allocation[i])
-        spends.append(spend)
-        if spend > 1 + tolerance:
+    budget = bound(1 + tolerance)
+    for i, spend in enumerate(spends):
+        if spend > budget:
             budgets_ok = False
-            violations.append(Violation(f"agent {i}", "overspends", spend - 1))
+            violations.append(Violation(f"agent {i}", "overspends", magnitude(spend - one)))
 
     optimal_bundles_ok = True
     label_ok = True
+    priced_out = bound(1 - tolerance)
     for i in range(n):
-        covered = _covers_demand(instance, i, allocation[i], tolerance)
-        if (i in solution.served) != covered:
+        held = covered(i)
+        if (i in solution.served) != held:
             label_ok = False
             violations.append(Violation(f"agent {i}", "served label mismatch"))
-        if i not in solution.served and not covered:
-            cost = bundle_price(prices, demand_bundle(instance, i))
-            if not cost > 1 - tolerance:
+        if i not in solution.served and not held:
+            price = cost(i)
+            if not price > priced_out:
                 optimal_bundles_ok = False
                 violations.append(
-                    Violation(f"agent {i}", "affordable unserved demand", 1 - cost)
+                    Violation(f"agent {i}", "affordable unserved demand", magnitude(one - price))
                 )
     for i in sorted(i for i in solution.served if not 0 <= i < n):
         label_ok = False
         violations.append(Violation(f"agent {i}", "served index out of range"))
 
     is_caei = partition_ok and budgets_ok and optimal_bundles_ok and label_ok
-    is_ceei = is_caei and all(abs(s - 1) <= tolerance for s in spends)
+    slack = bound(tolerance)
+    is_ceei = is_caei and all(abs(s - one) <= slack for s in spends)
     return CaeiReport(
         partition_ok, budgets_ok, optimal_bundles_ok, is_caei, is_ceei, tuple(violations)
     )
+
+
+def _grid_floor(value, unit: int) -> int:
+    """The greatest int k with k / unit <= value, for an int, Fraction or
+    float ``value`` taken exactly: an int x on the grid then passes
+    x > k, x <= k exactly when x / unit passes > value, <= value."""
+    value = Fraction(value)
+    return value.numerator * unit // value.denominator
+
+
+def _cake_terms(instance, solution, tolerance, relaxed, violations):
+    """The cake's partition check, spends, coverage and demand costs, on
+    the grid of the demands, the canonical pieces and the curve.
+
+    Returns partition_ok, the spends, covered(i), cost(i) and the money
+    unit that spends and costs are ints over.
+    """
+    pieces = [canonicalize_piece(p) for p in solution.allocation]
+    curve = solution.prices
+    if not isinstance(curve, PriceCurve):
+        raise TypeError("cake prices must be a PriceCurve")
+    grid = curve.grid
+    unit, (demands, pieces) = grid_pieces((instance.demands, pieces), grid.unit)
+    scale = unit // grid.unit
+    slack = _grid_floor(tolerance, unit)
+
+    ok = True
+    for (i, j), overlap in sorted(_overlaps(pieces).items()):
+        if overlap > slack:
+            ok = False
+            violations.append(
+                Violation(f"agents {i},{j}", "overlapping pieces", Fraction(overlap, unit))
+            )
+    covered = sum(hi - lo for piece in pieces for lo, hi in piece)
+    short = unit - covered if not relaxed else 0
+    if covered > _grid_floor(1 + tolerance, unit) or short > slack:
+        ok = False
+        violations.append(Violation("cake", "not fully allocated", Fraction(covered - unit, unit)))
+
+    spends = [grid.price(piece, scale) for piece in pieces]
+    held = [_missing(piece, demand) <= slack for piece, demand in zip(pieces, demands)]
+    cost = lambda i: grid.price(demands[i], scale)
+    return ok, spends, held.__getitem__, cost, grid.rate_unit * unit
+
+
+def _missing(bundle, demand) -> int:
+    """Length of the part of ``demand`` outside ``bundle``, both sorted
+    disjoint int spans: one merge walk over the two."""
+    missing = 0
+    k = 0
+    for lo, hi in demand:
+        missing += hi - lo
+        while k < len(bundle) and bundle[k][1] <= lo:
+            k += 1
+        t = k
+        while t < len(bundle) and bundle[t][0] < hi:
+            missing -= min(hi, bundle[t][1]) - max(lo, bundle[t][0])
+            t += 1
+    return missing
 
 
 def _covers_demand(instance, agent: int, bundle, tolerance) -> bool:
@@ -119,11 +198,7 @@ def _covers_demand(instance, agent: int, bundle, tolerance) -> bool:
     if tolerance == 0 or isinstance(instance, DiscreteInstance):
         # copy counts are whole: a tolerance loosens nothing
         return single_minded_utility(instance, agent, bundle) == 1
-    demand = instance.demands[agent]
-    if isinstance(instance, DivisibleInstance):
-        return all(x >= v - tolerance for x, v in zip(bundle, demand))
-    held = piece_intersection(canonicalize_piece(bundle), demand)
-    return piece_length(demand) - piece_length(held) <= tolerance
+    return all(x >= v - tolerance for x, v in zip(bundle, instance.demands[agent]))
 
 
 def _check_partition(instance, allocation, tolerance, relaxed, violations):
@@ -140,19 +215,6 @@ def _check_partition(instance, allocation, tolerance, relaxed, violations):
             if total > 1 + tolerance or short > tolerance:
                 ok = False
                 violations.append(Violation(f"good {j}", "not cleared", total - 1))
-    elif isinstance(instance, CakeInstance):
-        pieces = [canonicalize_piece(p) for p in allocation]
-        covered = Fraction(0)
-        for piece in pieces:
-            covered += piece_length(piece)
-        for (i, j), overlap in sorted(_overlaps(pieces).items()):
-            if overlap > tolerance:
-                ok = False
-                violations.append(Violation(f"agents {i},{j}", "overlapping pieces", overlap))
-        short = 1 - covered if not relaxed else 0
-        if covered > 1 + tolerance or short > tolerance:
-            ok = False
-            violations.append(Violation("cake", "not fully allocated", covered - 1))
     elif isinstance(instance, DiscreteInstance):
         for i, row in enumerate(allocation):
             for j, c in enumerate(row):
@@ -182,7 +244,7 @@ def _overlaps(pieces):
         open_ends = [(end, owner) for end, owner in open_ends if end > lo]
         for end, owner in open_ends:
             pair = (owner, k) if owner < k else (k, owner)
-            overlaps[pair] = overlaps.get(pair, ZERO) + min(hi, end) - lo
+            overlaps[pair] = overlaps.get(pair, 0) + min(hi, end) - lo
         open_ends.append((hi, k))
     return overlaps
 
@@ -192,8 +254,9 @@ def is_envy_free(instance: Instance, allocation) -> bool:
     else's bundle.  Satisfied agents never envy: utility is 0/1.
 
     On cake the bundles are canonicalized first (a malformed interval
-    raises ValueError), and an unsatisfied agent is checked only
-    against the bundles that cover the left end of its demand.
+    raises ValueError) and put with the demands on one integer grid,
+    and an unsatisfied agent is checked only against the bundles that
+    cover the left end of its demand.
     """
     if isinstance(instance, CakeInstance):
         return _cake_envy_free(instance, allocation)
@@ -210,8 +273,8 @@ def _cake_envy_free(instance: CakeInstance, allocation) -> bool:
     # a bundle holding agent i's demand covers its left end, so one
     # sweep over the bundle intervals in order of start, with the open
     # ones in a heap by end, finds every candidate owner
-    demands = instance.demands
     bundles = [canonicalize_piece(allocation[k]) for k in range(instance.num_agents)]
+    _, (demands, bundles) = grid_pieces((instance.demands, bundles))
     envious = sorted(
         (demand[0][0], i)
         for i, demand in enumerate(demands)

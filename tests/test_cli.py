@@ -1,19 +1,23 @@
 """Command-line round trips, exit codes, and generator determinism."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from caei import divisible
+from caei import discrete, divisible
 from caei.cli import (
     EXIT_INFEASIBLE,
     EXIT_NOT_VERIFIED,
     EXIT_OK,
     EXIT_ORACLE_GUARD,
     EXIT_USAGE,
+    MODELS,
+    CliError,
     instance_from_json,
     instance_to_json,
     main,
@@ -417,28 +421,42 @@ def test_gen_contiguous_single_intervals(capsys):
     assert instance.is_contiguous()
 
 
+# every model, with and without --types, and cake with and without
+# --contiguous: (model, fewest agents, agents added per seed, goods, flags)
+GEN_SWEEP = (
+    ("divisible", 2, 1, 3, ()),
+    ("divisible", 4, 1, 3, ("--types", "3")),
+    ("discrete", 3, 1, 3, ()),
+    ("discrete", 4, 2, 4, ("--types", "3")),
+    ("cake", 10, 15, 3, ()),
+    ("cake", 20, 15, 3, ("--types", "6")),
+    ("cake", 10, 15, 1, ("--contiguous",)),
+    ("cake", 20, 15, 1, ("--contiguous", "--types", "5")),
+)
+
+
 def test_gen_outputs_solve_and_reverify(capsys, tmp_path):
-    cases = [
-        ("divisible", 3, ("--agents", "3", "--goods", "2")),
-        ("divisible", 8, ("--agents", "6", "--goods", "3", "--types", "3")),
-        ("discrete", 5, ("--agents", "3", "--goods", "2")),
-        ("discrete", 2, ("--agents", "8", "--goods", "4")),
-        ("cake", 4, ("--agents", "3", "--goods", "2")),
-        ("cake", 6, ("--agents", "60", "--goods", "3")),
-        ("cake", 7, ("--agents", "60", "--goods", "3", "--types", "20")),
-        ("cake", 9, ("--agents", "60", "--goods", "1", "--contiguous")),
-    ]
-    for model, seed, sizes in cases:
-        inst_file = tmp_path / f"{model}{seed}.json"
-        sol_file = tmp_path / f"{model}{seed}_sol.json"
-        argv = ("gen", "--model", model, *sizes, "--seed", str(seed), "--out", str(inst_file))
-        assert run(capsys, *argv)[0] == EXIT_OK
-        assert run(capsys, "solve", str(inst_file), "--out", str(sol_file))[0] == EXIT_OK
-        code, out, _ = run(capsys, "verify", str(inst_file), str(sol_file), "--tol", "0")
-        assert code == EXIT_OK and json.loads(out)["is_caei"] is True
-        text = sol_file.read_text()
-        solution = solution_from_json(json.loads(text), model)
-        assert json.dumps(solution_to_json(model, solution), indent=2) + "\n" == text
+    # solve must write a file that verifies at --tol 0 and survives a
+    # decode and encode unchanged, or exit 2 on a discrete instance
+    # without a CAEI
+    for seed in range(12):
+        for model, fewest, step, goods, flags in GEN_SWEEP:
+            name = f"{model}{seed}{''.join(flags)}"
+            inst_file, sol_file = tmp_path / f"{name}.json", tmp_path / f"{name}_sol.json"
+            agents = fewest + seed % 4 * step
+            argv = ("gen", "--model", model, "--agents", str(agents), "--goods", str(goods))
+            assert run(capsys, *argv, *flags, "--seed", str(seed), "--out", str(inst_file))[0] == EXIT_OK
+            code = run(capsys, "solve", str(inst_file), "--out", str(sol_file))[0]
+            if code == EXIT_INFEASIBLE:
+                _, instance = instance_from_json(json.loads(inst_file.read_text()))
+                assert model == "discrete" and not discrete.caei_exists(instance)
+                continue
+            assert code == EXIT_OK
+            code, out, _ = run(capsys, "verify", str(inst_file), str(sol_file), "--tol", "0")
+            assert code == EXIT_OK and json.loads(out)["is_caei"] is True, name
+            text = sol_file.read_text()
+            solution = solution_from_json(json.loads(text), model)
+            assert json.dumps(solution_to_json(model, solution), indent=2) + "\n" == text
 
 
 def test_gen_rejects_impossible_requests(capsys):
@@ -452,3 +470,120 @@ def test_gen_rejects_impossible_requests(capsys):
 
 def test_usage_error_on_unknown_flag(capsys):
     assert run(capsys, "solve", DIVISIBLE, "--fast")[0] == EXIT_USAGE
+
+
+# --- decoder fuzzing -------------------------------------------------------
+
+# numbers as they appear in files: mostly fractions in and around
+# [0, 1], now and then a zero denominator, a float, junk or a wrong type
+fuzz_numbers = st.one_of(
+    *[st.fractions(0, 1, max_denominator=9).map(str)] * 4,
+    *[st.fractions(-1, 2, max_denominator=9).map(str)] * 2,
+    st.integers(-2, 3),
+    st.sampled_from(["1/0", "0.5", "1e-3", "1e5000", "x", "", True, None, 0.5, []]),
+)
+fuzz_pairs = st.one_of(
+    *[st.lists(fuzz_numbers, min_size=2, max_size=2)] * 8,
+    st.lists(fuzz_numbers, max_size=3),
+    fuzz_numbers,
+)
+# reversed, out-of-cake and overlapping pairs come from the numbers
+fuzz_pieces = st.one_of(*[st.lists(fuzz_pairs, max_size=4)] * 8, fuzz_numbers)
+fuzz_lists = st.one_of(*[st.lists(fuzz_numbers, max_size=5)] * 8, fuzz_numbers)
+fuzz_rows = st.one_of(*[st.lists(fuzz_lists, max_size=4)] * 8, fuzz_numbers)
+
+
+def fuzz_objects(fields):
+    """JSON objects with every field, or with each field present or
+    absent, or not objects at all."""
+    return st.one_of(
+        *[st.fixed_dictionaries(fields)] * 8,
+        st.fixed_dictionaries({}, optional=fields),
+        fuzz_numbers,
+    )
+
+
+fuzz_instances = st.one_of(
+    *[fuzz_objects({"model": st.just("cake"), "demands": st.lists(fuzz_pieces, max_size=5)})] * 4,
+    fuzz_objects({"model": st.sampled_from(MODELS + ("bogus",)), "demands": fuzz_rows}),
+    fuzz_objects({"model": st.just("discrete"), "quantities": fuzz_lists, "demands": fuzz_rows}),
+)
+# breakpoints run from 0 to 1 most of the time, unsorted or repeated
+# now and then; densities go negative and miss or gain a cell
+fuzz_breakpoints = st.one_of(
+    *[st.lists(st.fractions(0, 1, max_denominator=9), max_size=4).map(lambda xs: ["0", *map(str, xs), "1"])] * 4,
+    fuzz_lists,
+)
+fuzz_curves = st.one_of(
+    *[fuzz_objects({"breakpoints": fuzz_breakpoints, "densities": fuzz_lists})] * 4,
+    fuzz_lists,
+)
+fuzz_common = {
+    "served": fuzz_lists,
+    "welfare": st.one_of(*[st.integers(0, 5)] * 4, fuzz_numbers),
+    "exact": st.one_of(*[st.just(True)] * 3, st.sampled_from([False, "false", 0, None])),
+    "provenance": st.one_of(st.text(max_size=5), fuzz_numbers),
+}
+fuzz_solutions = st.one_of(
+    *[
+        fuzz_objects(
+            {
+                "model": st.just("cake"),
+                "prices": fuzz_curves,
+                "allocation": st.lists(fuzz_pieces, max_size=5),
+                **fuzz_common,
+            }
+        )
+    ]
+    * 4,
+    fuzz_objects(
+        {"model": st.sampled_from(MODELS), "prices": fuzz_lists, "allocation": fuzz_rows, **fuzz_common}
+    ),
+)
+
+# a located message names the file's shape, a field (with its JSON path
+# when it has one), or the agent or item it is about
+LOCATED = re.compile(
+    r"(instance|solution) file must hold a JSON object$"
+    r"|solution is for model "
+    r"|missing field '"
+    r"|(model|exact|quantities|demands|prices(\.\w+)?|allocation|served|welfare)(\[\d+\])*: "
+    r"|(agent|item) \d+[ :]"
+    r"|items \[[\d, ]*\] are demanded by no agent$"
+    r"|instance needs at least one (agent|item type)$"
+    r"|welfare must equal the number of served agents$"
+)
+
+
+def assert_decodes_or_locates(decode, *args):
+    try:
+        decode(*args)
+    except CliError as err:
+        assert LOCATED.match(str(err)), str(err)
+
+
+@given(fuzz_instances)
+@example({"model": "cake", "demands": [[["1", "0"]]]})
+@example({"model": "cake", "demands": [[["0", "3/2"]]]})
+@example({"model": "divisible", "demands": [["1/2"], ["1/2", "1/2"]]})
+@example({"model": "divisible", "demands": [["3/2"]]})
+@example({"model": "discrete", "quantities": [1, 0], "demands": [[0, 1]]})
+def test_instance_decoder_fuzz(data):
+    assert_decodes_or_locates(instance_from_json, data)
+
+
+def cake_solution(breakpoints, densities):
+    prices = {"breakpoints": breakpoints, "densities": densities}
+    return {"model": "cake", "prices": prices, "allocation": [], "served": [], "welfare": 0}
+
+
+@given(fuzz_solutions, st.sampled_from(MODELS))
+@example(cake_solution(["0", "1/2"], ["1"]), "cake")
+@example(cake_solution(["0", "1/2", "1/2", "1"], ["1", "1", "1"]), "cake")
+@example(cake_solution(["0", "1"], []), "cake")
+@example(cake_solution(["0", "1"], ["-1"]), "cake")
+def test_solution_decoder_fuzz(data, model):
+    # mostly decoded for the model the file names
+    if isinstance(data, dict) and data.get("model") in MODELS:
+        model = data["model"]
+    assert_decodes_or_locates(solution_from_json, data, model)

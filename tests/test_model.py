@@ -214,6 +214,16 @@ def test_piece_price_matches_per_cell_reference(curve, piece):
     assert curve.piece_price(piece) == reference_price(curve, piece)
 
 
+# endpoints whose denominators (up to 11) mostly miss the curves' grid of
+# 24ths, so pricing scales the piece onto a finer grid
+off_grid = st.fractions(F(-1, 2), F(3, 2), max_denominator=11)
+
+
+@given(price_curves(), st.lists(st.tuples(off_grid, off_grid), max_size=6))
+def test_piece_price_off_the_curve_grid_matches_reference(curve, piece):
+    assert curve.piece_price(piece) == reference_price(curve, piece)
+
+
 def test_price_curve_cache_is_invisible():
     curve = PriceCurve([0, "1/2", 1], [2, 4])
     fresh = PriceCurve([0, "1/2", 1], [2, 4])
