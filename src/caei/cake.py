@@ -29,10 +29,14 @@ inside a demand or outside it, and ``model.cell_goods``,
 divisible goods and back.  The cake oracle in ``verify`` runs the
 divisible oracle through the same mapping.
 
-Piece queries cost O(|piece| log cells) exact steps: the cells inside
-a demand come from ``model.cells_within`` (a bisected run of
-breakpoints per interval), pieces are priced by bisecting the curve,
-and ``verify_caei`` finds overlapping pieces by one sorted sweep.
+Piece queries cost O(|piece| log cells) steps: the cells inside a
+demand come from ``model.cells_within`` (a bisected run of breakpoints
+per interval), and a piece is priced by the curve's integer kernel
+(``model.CurveGrid``: int breakpoints over the lcm of their
+denominators, bisected, and a running total of int rates).
+``verify_caei`` puts the demands, the pieces and the curve on one
+integer grid and checks overlaps, coverage, spends and containment
+there with sorted sweeps.
 """
 
 from __future__ import annotations

@@ -299,9 +299,9 @@ class PriceCurve:
     def piece_price(self, piece) -> Fraction:
         """Price of the union of the piece's intervals clipped to [0, 1].
 
-        The merged spans are scaled onto the curve's grid (its unit times
-        whatever the piece's denominators add) and priced by the curve's
-        ``CurveGrid`` in ints.
+        The merged spans are put on the curve's grid, refined to the lcm
+        of its unit and the piece's denominators, and priced there by the
+        curve's ``CurveGrid`` in ints: no Fraction arithmetic per cell.
         """
         spans = _merged_spans((max(lo, ZERO), min(hi, 1)) for lo, hi in piece)
         grid = self.grid
@@ -328,7 +328,7 @@ class CurveGrid:
         self.unit, self.rate_unit = unit, rate_unit
         self.points, self.rates, self.cumulative = points, rates, cumulative
 
-    def price(self, spans, scale: int = 1) -> int:
+    def price(self, spans, scale: int) -> int:
         """Price of sorted disjoint spans inside [0, 1] whose endpoints are
         ints over ``unit * scale``, times ``rate_unit * unit * scale``.
 

@@ -5,6 +5,14 @@ allocation: it trusts nothing in the solution record beyond the raw
 numbers.  The oracles are deliberately brute-force and kept on
 desk-scale guards; they exist to give the solvers something
 independent to be measured against.
+
+On cake, `verify_caei` and `is_envy_free` first canonicalize every
+piece and then scale every endpoint once to an int over one common
+denominator (`model.grid_pieces`): the overlap sweep, the coverage sum,
+spends and demand costs (through the curve's `model.CurveGrid`),
+containment and the envy sweep all compare ints.  A bound such as
+``1 + tolerance`` is taken exactly, a float included, and rounded down
+to the grid; magnitudes leave the grid as exact Fractions.
 """
 
 from __future__ import annotations
@@ -135,9 +143,10 @@ def verify_caei(
 
 
 def _grid_floor(value, unit: int) -> int:
-    """The greatest int k with k / unit <= value, for an int, Fraction or
-    float ``value`` taken exactly: an int x on the grid then passes
-    x > k, x <= k exactly when x / unit passes > value, <= value."""
+    """floor(value * unit), for an int, Fraction or float ``value`` taken
+    exactly.  For an int x, x / unit > value exactly when x is greater
+    than this floor, so a bound compares on the grid as it would in
+    Fractions."""
     value = Fraction(value)
     return value.numerator * unit // value.denominator
 
