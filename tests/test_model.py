@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from caei.model import (
     CaeiSolution,
@@ -216,10 +216,11 @@ def test_piece_price_matches_per_cell_reference(curve, piece):
 
 # endpoints whose denominators (up to 11) mostly miss the curves' grid of
 # 24ths, so pricing scales the piece onto a finer grid
-off_grid = st.fractions(F(-1, 2), F(3, 2), max_denominator=11)
+off_grid = st.builds(F, st.integers(-2, 13), st.sampled_from([7, 9, 11]))
 
 
-@given(price_curves(), st.lists(st.tuples(off_grid, off_grid), max_size=6))
+@settings(max_examples=50)
+@given(price_curves(), st.lists(st.tuples(off_grid, off_grid), max_size=4))
 def test_piece_price_off_the_curve_grid_matches_reference(curve, piece):
     assert curve.piece_price(piece) == reference_price(curve, piece)
 

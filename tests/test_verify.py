@@ -223,7 +223,6 @@ def test_cake_unserved_must_be_priced_out():
     assert not report.optimal_bundles_ok
 
 
-
 # --- cake reports pinned ---------------------------------------------------
 
 
