@@ -214,7 +214,7 @@ def test_piece_price_matches_per_cell_reference(curve, piece):
     assert curve.piece_price(piece) == reference_price(curve, piece)
 
 
-# endpoints whose denominators (up to 11) mostly miss the curves' grid of
+# endpoints with denominators 7, 9 and 11, which miss the curves' grid of
 # 24ths, so pricing scales the piece onto a finer grid
 off_grid = st.builds(F, st.integers(-2, 13), st.sampled_from([7, 9, 11]))
 
