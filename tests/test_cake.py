@@ -1,5 +1,6 @@
 """Cake cutting: partitions, existence, greedy scheduling, welfare."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -177,6 +178,26 @@ def test_greedy_unserved_strictly_priced_out():
         for i in range(n):
             if i not in sol.served:
                 assert bundle_price(sol.prices, inst.demands[i]) > 1
+
+
+def test_greedy_outputs_are_pinned():
+    # 300 seeded contiguous cakes with pairwise distinct demands: the
+    # allocation, prices, served set, schedule and provenance stay the same
+    rng = random.Random(1515)
+    outputs = []
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        grid = rng.choice((12, 24, 35, 60))
+        spans = []
+        while len(spans) < n:
+            cuts = sorted(rng.sample(range(grid + 1), 2))
+            span = (F(cuts[0], grid), F(cuts[1], grid))
+            if span not in spans:
+                spans.append(span)
+        sol = greedy_contiguous(interval_instance(*spans))
+        outputs.append(repr((sol.allocation, sol.prices, sol.served, sol.trace, sol.provenance)))
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "469cc5a2ab62838c181528b71ac8fa2e059aecfb6e4c37a0a4d6425444cd4219"
 
 
 # --- welfare maximization --------------------------------------------------
