@@ -7,11 +7,13 @@ routes produce competitive outcomes:
   runs the discrete-goods pricing algorithm on the resulting cells.
   Always succeeds, but makes no welfare promise.
 
-* ``greedy_contiguous`` handles single-interval demands through the
-  earliest-finish-time schedule, pricing each scheduled interval with
-  a cheap prefix and an expensive suffix so that every budget closes
-  at exactly 1.  The pricing certificate is re-verified and falls
-  back to the exact LP search if the construction misses.
+* ``greedy_contiguous`` handles single-interval demands in polynomial
+  time: it drops every agent whose interval contains another agent's
+  interval (an identical twin's included), schedules the rest
+  earliest finish first, and prices each scheduled interval with a
+  cheap prefix and an expensive suffix so that every budget closes at
+  exactly 1.  The pricing certificate is re-verified; there is no
+  fallback search.
 
 * ``max_welfare_fixed_agents`` enumerates unions of agent types over
   the cells between demand endpoints and lets the exact price-only
@@ -41,7 +43,9 @@ there with sorted sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .discrete import solve_caei
@@ -157,15 +161,20 @@ def solve_existence(instance: CakeInstance) -> CaeiSolution:
 def greedy_contiguous(instance: CakeInstance) -> CaeiSolution:
     """Welfare-maximizing outcome for single-interval demands.
 
-    Earliest finish first, ties to the latest start; a tie among
-    identical (start, finish) agents retires the whole group onto
-    equal shares of a tiny interval priced at 1 per member.  The k-th
-    scheduled agent pays k*eps for a prefix sliver and 1 - k*eps for a
-    suffix sliver of its interval.  Unserved distinct agents with
-    unallocated demand get a sliver priced at 1.  The certificate is
-    checked exactly; if the sliver geometry fails to price someone
-    out, the exact subset search takes over and the provenance says
-    so.
+    An agent whose interval contains another agent's interval is never
+    served: the contained agent would go unserved with a demand costing
+    at most 1.  An identical twin counts as contained, so twins are
+    never served.  No interval left contains another, and earliest
+    finish first over them reaches the interval-scheduling optimum.
+    The k-th scheduled agent pays k*eps for a prefix sliver and
+    1 - k*eps for a suffix sliver of its interval; every other agent
+    with free cake in its demand gets a sliver there priced at 1.  An
+    unserved agent whose interval contains no other starts inside the
+    winner that knocked it out and ends after it, so its demand holds
+    that suffix plus the next prefix or a price-1 sliver and costs
+    more than 1.  A demand that contains another costs at least as
+    much, and twins whose cake no winner covers each take a sliver in
+    it.  The certificate is checked exactly.
     """
     if not instance.is_contiguous():
         raise ValueError("greedy scheduling needs single-interval demands")
@@ -176,34 +185,24 @@ def greedy_contiguous(instance: CakeInstance) -> CaeiSolution:
     delta = shortest / 4
     eps = Fraction(1, 2 * n + 2)
 
-    active = set(range(n))
-    winners: list[int] = []
-    groups: list[tuple[int, ...]] = []
-    while active:
-        finish = min(spans[i][1] for i in active)
-        start = max(spans[i][0] for i in active if spans[i][1] == finish)
-        front = sorted(i for i in active if spans[i] == (start, finish))
-        if len(front) >= 2:
-            groups.append(tuple(front))
-            active -= set(front)
-            continue
-        winner = front[0]
-        winners.append(winner)
-        active -= {
-            i
-            for i in active
-            if max(spans[i][0], start) < min(spans[i][1], finish)
-        }
+    # In finish order, latest starts first on a tie, an interval contains
+    # another exactly when an earlier one starts no sooner (or it has a twin).
+    copies = Counter(spans)
+    minimal, latest = [], -1
+    for i in sorted(range(n), key=lambda i: (spans[i][1], -spans[i][0])):
+        if copies[spans[i]] == 1 and spans[i][0] > latest:
+            minimal.append(i)
+        latest = max(latest, spans[i][0])
+    # no minimal interval contains another, so finish order is start order
+    winners, reach = [], 0
+    for i in minimal:
+        if spans[i][0] >= reach:
+            winners.append(i)
+            reach = spans[i][1]
 
     pieces = [[] for _ in range(n)]
     regions = []
     remaining = ((Fraction(0), Fraction(1)),)
-
-    def sliver_at(point, run_end):
-        next_bp = min(b for b in base.breakpoints if b > point)
-        return min(delta, run_end - point, next_bp - point)
-
-    feasible = True
     for order, w in enumerate(winners, start=1):
         s, f = spans[w]
         pieces[w].append((s, f))
@@ -211,56 +210,40 @@ def greedy_contiguous(instance: CakeInstance) -> CaeiSolution:
         regions.append((s + delta, f - delta, Fraction(0)))
         regions.append((f - delta, f, 1 - order * eps))
         remaining = piece_difference(remaining, ((s, f),))
-    for members in groups:
-        if not remaining:
-            feasible = False
-            break
-        lo, run_end = remaining[0]
-        width = sliver_at(lo, run_end)
-        share = width / len(members)
-        for t, agent in enumerate(members):
-            cut = (lo + t * share, lo + (t + 1) * share)
-            pieces[agent].append(cut)
-            regions.append((*cut, Fraction(1)))
-        remaining = piece_difference(remaining, ((lo, lo + width),))
-    if feasible:
-        retired = set(winners)
-        for members in groups:
-            retired |= set(members)
-        for i in sorted(set(range(n)) - retired):
-            available = piece_intersection(instance.demands[i], remaining)
-            if not available:
-                continue
-            lo, run_end = available[0]
-            width = sliver_at(lo, run_end)
-            pieces[i].append((lo, lo + width))
-            regions.append((lo, lo + width, Fraction(1)))
-            remaining = piece_difference(remaining, ((lo, lo + width),))
-        for lo, hi in remaining:
-            pieces[0].append((lo, hi))
-            regions.append((lo, hi, Fraction(0)))
+    served = frozenset(winners)
+    for i in sorted(set(range(n)) - served):
+        available = piece_intersection(instance.demands[i], remaining)
+        if not available:
+            continue
+        lo, run_end = available[0]
+        next_bp = base.breakpoints[bisect_right(base.breakpoints, lo)]
+        hi = lo + min(delta, run_end - lo, next_bp - lo)
+        pieces[i].append((lo, hi))
+        regions.append((lo, hi, Fraction(1)))
+        remaining = piece_difference(remaining, ((lo, hi),))
+    for lo, hi in remaining:
+        pieces[0].append((lo, hi))
+        regions.append((lo, hi, Fraction(0)))
 
-        regions.sort()
-        assert regions[0][0] == 0 and regions[-1][1] == 1
-        assert all(a[1] == b[0] for a, b in zip(regions, regions[1:]))
-        breakpoints = (Fraction(0),) + tuple(hi for _, hi, _ in regions)
-        densities = tuple(price / (hi - lo) for lo, hi, price in regions)
-        solution = CaeiSolution(
-            tuple(canonicalize_piece(tuple(p)) for p in pieces),
-            PriceCurve(breakpoints, densities),
-            frozenset(winners),
-            len(winners),
-            provenance="greedy_contiguous",
-            trace=tuple(
-                ScheduledJob(w, spans[w][0], spans[w][1], k)
-                for k, w in enumerate(winners, start=1)
-            ),
-        )
-        if verify_caei(instance, solution).is_caei:
-            return solution
-
-    fallback = max_welfare_fixed_agents(instance)
-    return replace(fallback, provenance="greedy_contiguous (lp fallback)")
+    regions.sort()
+    assert regions[0][0] == 0 and regions[-1][1] == 1
+    assert all(a[1] == b[0] for a, b in zip(regions, regions[1:]))
+    breakpoints = (Fraction(0),) + tuple(hi for _, hi, _ in regions)
+    densities = tuple(price / (hi - lo) for lo, hi, price in regions)
+    solution = CaeiSolution(
+        tuple(canonicalize_piece(tuple(p)) for p in pieces),
+        PriceCurve(breakpoints, densities),
+        served,
+        len(winners),
+        provenance="greedy_contiguous",
+        trace=tuple(
+            ScheduledJob(w, spans[w][0], spans[w][1], k)
+            for k, w in enumerate(winners, start=1)
+        ),
+    )
+    report = verify_caei(instance, solution)
+    assert report.is_caei, f"slivers failed to price out: {report.violations}"
+    return solution
 
 
 def max_welfare_fixed_agents(instance: CakeInstance) -> CaeiSolution:

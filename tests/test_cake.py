@@ -1,7 +1,9 @@
 """Cake cutting: partitions, existence, greedy scheduling, welfare."""
 
 import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from caei.cake import (
     refine_partition,
     solve_existence,
 )
+from caei.cli import instance_from_json, main
 from caei.model import CakeInstance, PriceCurve, bundle_price, piece_length
 from caei.verify import oracle_caei_search, verify_caei
 
@@ -149,11 +152,12 @@ def test_greedy_identical_pair_steps_aside():
     assert oracle.welfare == 1
 
 
-def test_greedy_falls_back_when_slivers_cannot_price_out():
-    # the identical pair's demand would stay free: the LP route takes over
+def test_greedy_prices_out_twins_without_fallback():
+    # the identical pair is never scheduled: each takes a price-1 sliver
+    # inside its own demand, so the demand costs 2
     inst = interval_instance((F(1, 2), 1), (F(1, 2), 1), (0, F(1, 4)))
     sol = greedy_contiguous(inst)
-    assert sol.provenance == "greedy_contiguous (lp fallback)"
+    assert sol.provenance == "greedy_contiguous"
     assert sol.welfare == 1
     assert verify_caei(inst, sol).is_caei
 
@@ -164,7 +168,7 @@ def test_greedy_rejects_noncontiguous():
         greedy_contiguous(inst)
 
 
-def test_greedy_unserved_strictly_priced_out():
+def _seeded_distinct_cakes():
     rng = random.Random(53)
     for _ in range(15):
         n = rng.randint(2, 5)
@@ -172,12 +176,89 @@ def test_greedy_unserved_strictly_priced_out():
         while len(spans) < n:
             cuts = sorted(rng.sample(range(0, 13), 2))
             spans.add((F(cuts[0], 12), F(cuts[1], 12)))
-        inst = interval_instance(*sorted(spans))
+        yield interval_instance(*sorted(spans))
+
+
+@pytest.mark.parametrize(
+    "cakes, welfare",
+    [
+        pytest.param(list(_seeded_distinct_cakes()), None, id="seeded"),
+        pytest.param(
+            [interval_instance((F(5, 12), F(23, 24)), (F(5, 12), F(23, 24)))], 0, id="twins"
+        ),
+        pytest.param(
+            [interval_instance((0, F(1, 4)), (0, F(1, 4)), (0, F(1, 2)))],
+            0,
+            id="twins-and-container",
+        ),
+        pytest.param(
+            [
+                interval_instance(
+                    (F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)), (F(1, 8), F(3, 4)), (F(3, 4), 1)
+                )
+            ],
+            1,
+            id="twins-container-and-neighbour",
+        ),
+    ],
+)
+def test_greedy_unserved_strictly_priced_out(cakes, welfare):
+    for inst in cakes:
         sol = greedy_contiguous(inst)
-        assert verify_caei(inst, sol).is_caei
-        for i in range(n):
+        assert sol.provenance == "greedy_contiguous"
+        assert verify_caei(inst, sol, tolerance=0).is_caei
+        assert welfare is None or sol.welfare == welfare
+        for i in range(inst.num_agents):
             if i not in sol.served:
                 assert bundle_price(sol.prices, inst.demands[i]) > 1
+
+
+def _scheduling_reference(spans):
+    """Intervals held by exactly one agent that contain no shared
+    interval, scheduled earliest finish first."""
+    copies = Counter(spans)
+    shared = [span for span, count in copies.items() if count > 1]
+    servable = sorted(
+        (hi, lo)
+        for (lo, hi), count in copies.items()
+        if count == 1 and not any(lo <= a and b <= hi for a, b in shared)
+    )
+    welfare, reach = 0, 0
+    for hi, lo in servable:
+        if lo >= reach:
+            welfare, reach = welfare + 1, hi
+    return welfare
+
+
+# (agents, types): --types None draws every demand afresh, so twins
+# appear by chance on the 24-point grid as n grows
+GEN_SWEEP = (
+    (2, None), (4, None), (6, None), (60, None), (200, None),
+    (4, 2), (7, 3), (8, 6), (10, 4), (30, 6), (40, 30), (200, 20), (200, 150),
+)
+
+
+def test_greedy_matches_references_on_gen_cakes(capsys):
+    for seed in range(5):
+        for agents, types in GEN_SWEEP:
+            argv = ["gen", "--model", "cake", "--contiguous", "--agents", str(agents),
+                    "--goods", "1", "--seed", str(seed)]
+            assert main(argv + (["--types", str(types)] if types else [])) == 0
+            _, inst = instance_from_json(json.loads(capsys.readouterr().out))
+            sol = greedy_contiguous(inst)
+            assert sol.provenance == "greedy_contiguous"
+            assert verify_caei(inst, sol, tolerance=0).is_caei
+            spans = [piece[0] for piece in inst.demands]
+            assert sol.welfare == _scheduling_reference(spans), (seed, agents, types)
+            if len(set(spans)) <= 6:
+                assert sol.welfare == max_welfare_fixed_agents(inst).welfare
+
+
+def test_greedy_names_no_exponential_search():
+    # the scheduling route must stay polynomial: no served-set search
+    # may come back behind it as a fallback
+    names = set(greedy_contiguous.__code__.co_names)
+    assert not names & {"max_welfare_fixed_agents", "max_welfare_caei", "subset_caei_lp"}
 
 
 def test_greedy_outputs_are_pinned():

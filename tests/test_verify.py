@@ -315,7 +315,7 @@ def test_cake_verify_reports_are_pinned():
         lines += _report_lines(inst, sol)
     assert len(lines) == 200 * 7 * 4
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "816d9cc4bb368b9d8022b4bdba956a06c55b8935231e88aca55708c35c18af06"
+    assert digest == "bc93573176183dcc4b9a3fa5e440a8ac1553bc52727e3078e9ac7e6c62a963ce"
 
 
 def _one_curve_cake(demands, pieces, breakpoints, densities, served):
