@@ -230,8 +230,8 @@ def _scheduling_reference(spans):
     return welfare
 
 
-# (agents, types): --types None draws every demand afresh, so twins
-# appear by chance on the 24-point grid as n grows
+# (agents, types): without --types every demand is drawn afresh, so
+# twins appear by chance on the 24-point grid as n grows
 GEN_SWEEP = (
     (2, None), (4, None), (6, None), (60, None), (200, None),
     (4, 2), (7, 3), (8, 6), (10, 4), (30, 6), (40, 30), (200, 20), (200, 150),
