@@ -18,6 +18,7 @@ from caei.cake import (
 )
 from caei.discrete import caei_exists, max_welfare_relaxed, solve_caei
 from caei.divisible import (
+    SearchGuardError,
     allocation_for_prices,
     max_welfare_caei,
     prices_for_allocation,
@@ -48,6 +49,7 @@ __all__ = [
     "DivisibleInstance",
     "OracleGuardError",
     "PriceCurve",
+    "SearchGuardError",
     "allocation_for_price_curve",
     "allocation_for_prices",
     "caei_exists",

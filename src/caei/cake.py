@@ -15,10 +15,12 @@ routes produce competitive outcomes:
   exactly 1.  The pricing certificate is re-verified; there is no
   fallback search.
 
-* ``max_welfare_fixed_agents`` enumerates unions of agent types over
+* ``max_welfare_fixed_agents`` searches unions of agent types over
   the cells between demand endpoints and lets the exact price-only
-  subset LP decide supportability.  Exponential in the number of
-  distinct demands, exact in everything else.
+  subset LP decide supportability.  Only unions that fit into every
+  cell and serve every demand contained in a served one are tried;
+  their number can still grow exponentially with the distinct
+  demands, so the search stops at ``divisible.SEARCH_GUARD`` steps.
 
 * completion: ``price_curve_for_allocation`` / ``allocation_for_price_curve``
   recover the missing half of an outcome through the divisible-goods
@@ -254,8 +256,10 @@ def max_welfare_fixed_agents(instance: CakeInstance) -> CaeiSolution:
     a served set is supportable iff some cell prices let its members
     afford their cells while pricing everyone else out, at a total of
     at most n.  Candidates run from largest to smallest, ties
-    lexicographic, so the first hit is optimal.  Exponential in the
-    number of distinct demands by design.
+    lexicographic, so the first hit is optimal.  Unions that overfill a
+    cell or price out a demand inside a served one are never tried.
+    Raises ``divisible.SearchGuardError`` when the search outgrows its
+    step guard.
     """
     breakpoints = refine_partition(instance).breakpoints
     inner = max_welfare_caei(cell_goods(instance, breakpoints))

@@ -6,7 +6,8 @@ strings and tags the file ``"exact": false``.  Floating-point literals
 are rejected on input so exact artifacts stay exact.
 
 Exit codes: 0 success or verified, 1 usage or malformed input,
-2 infeasible (NoCaei), 3 verification failure, 4 oracle guard.
+2 infeasible (NoCaei), 3 verification failure, 4 size guard:
+brute-force oracle or served-set search.
 """
 
 from __future__ import annotations

@@ -11,9 +11,12 @@ Two routes to a competitive allocation from equal incomes:
 * ``subset_caei_lp`` fixes who is to be satisfied and asks an exact
   rational LP over the prices alone whether the served agents can
   afford their demands while everyone else is priced out; leftover
-  goods are then water-filled into the unspent budgets.  Enumerating
-  unions of agent types from large to small (``max_welfare_caei``)
-  maximizes the number of satisfied agents exactly.
+  goods are then water-filled into the unspent budgets.  Trying unions
+  of agent types from large to small (``max_welfare_caei``) maximizes
+  the number of satisfied agents exactly.  Only the unions that fit
+  into every good, and that serve each type whose demand a served
+  type's demand contains, are listed, one size at a time and behind a
+  step guard (``SearchGuardError``).
 
 ``prices_for_allocation`` and ``allocation_for_prices`` complete a
 half-specified outcome: given one side, find the other or report that
@@ -44,7 +47,14 @@ from .model import (
     group_types,
     validate_price_vector,
 )
-from .verify import verify_caei
+from .verify import OracleGuardError, verify_caei
+
+# steps of the served-set search in max_welfare_caei before it gives up
+SEARCH_GUARD = 2**16
+
+
+class SearchGuardError(OracleGuardError):
+    """The served-set search of ``max_welfare_caei`` outgrew its guard."""
 
 
 class EgConvergenceError(RuntimeError):
@@ -361,24 +371,101 @@ def max_welfare_caei(
     Candidate served sets are the unions of types (agents with
     identical demands): a set that serves one agent and prices out its
     twin is never supportable, since the same demand cannot cost at
-    most 1 and more than 1 at once.  Candidates are tried from most
-    agents to fewest, ties in lexicographic order of the agents, so
-    the first supportable one is the answer.  The search pays 2^types
-    subset LPs at most.
+    most 1 and more than 1 at once.  The same argument drops every
+    union that serves a type but not a type whose demand it contains
+    componentwise, and capacity drops every union whose demands
+    overfill a good; neither kind can pass ``subset_caei_lp``.  The
+    rest are listed one size at a time, from most agents to fewest,
+    and tried in lexicographic order of the agents within a size, so
+    the first supportable one is the answer and smaller sizes are
+    never listed.  Raises SearchGuardError once the search has taken
+    ``SEARCH_GUARD`` steps.
     """
-    types = group_types(instance)
-    candidates = []
-    for mask in range(1 << len(types)):
-        agents = sorted(
-            i for k, members in enumerate(types) if mask >> k & 1 for i in members
-        )
-        candidates.append((-len(agents), tuple(agents)))
-    candidates.sort()
-    for _, agents in candidates:
-        solution = subset_caei_lp(instance, agents, require_full_clearing)
-        if solution is not None:
-            return solution
+    for candidates in _served_unions(instance):
+        for agents in candidates:
+            solution = subset_caei_lp(instance, agents, require_full_clearing)
+            if solution is not None:
+                return solution
     return None
+
+
+def _served_unions(instance: DivisibleInstance):
+    """The candidates of ``max_welfare_caei``, one sorted list per size.
+
+    Sizes that some union of types has run from n agents down to 0, and
+    a size is listed only when the caller asks for it.  Types are taken in order of their total
+    demand, so every type comes after the types whose demands it
+    contains.  A depth-first search then decides each type in turn: it
+    may be served only if all types it contains are, and only if its
+    members' demands, as ints over the lcm of the denominators, still
+    fit into every good.  A branch ends once even the agents who need
+    least of some good cannot fill the size.  Each node counts one step
+    against ``SEARCH_GUARD``, over all sizes.
+    """
+    v = instance.demands
+    types = sorted(group_types(instance), key=lambda members: sum(v[members[0]]))
+    scale = math.lcm(*(q.denominator for row in v for q in row))
+    units = [[int(q * scale) for q in v[members[0]]] for members in types]
+    weights = [[len(members) * u for u in row] for members, row in zip(types, units)]
+    # bit a of contained[t]: type t's demand contains type a's
+    contained = [
+        sum(1 << a for a in range(t) if all(x <= y for x, y in zip(units[a], units[t])))
+        for t in range(len(types))
+    ]
+    # per good, the types by the units that each of their agents needs
+    by_need = [sorted(zip(column, range(len(types)))) for column in zip(*units)]
+
+    def out_of_reach(t, room, left):
+        # fewer than `left` agents are left in types t on, or the `left`
+        # of them who need least of some good already overfill it
+        for needs, r in zip(by_need, room):
+            want = left
+            for u, k in needs:
+                if k >= t:
+                    take = min(want, len(types[k]))
+                    want -= take
+                    r -= take * u
+                    if not want:
+                        break
+            if want or r < 0:
+                return True
+        return False
+
+    # bit s is set when some union of types has s agents
+    sizes = 1
+    for members in types:
+        sizes |= sizes << len(members)
+    steps = 0
+    for size in range(instance.num_agents, -1, -1):
+        if not sizes >> size & 1:
+            continue
+        found = []
+        stack = [(0, [scale] * instance.num_goods, size, 0)]
+        while stack:
+            t, room, left, chosen = stack.pop()
+            steps += 1
+            if steps > SEARCH_GUARD:
+                raise SearchGuardError(
+                    f"served-set search passed {SEARCH_GUARD} steps "
+                    f"over {len(types)} agent types"
+                )
+            if left == 0:
+                served = (types[k] for k in range(t) if chosen >> k & 1)
+                found.append(tuple(sorted(i for members in served for i in members)))
+                continue
+            if out_of_reach(t, room, left):
+                continue
+            stack.append((t + 1, room, left, chosen))
+            if len(types[t]) > left or contained[t] & ~chosen:
+                continue
+            fitted = []
+            for r, w in zip(room, weights[t]):
+                if r < w:
+                    break
+                fitted.append(r - w)
+            else:
+                stack.append((t + 1, fitted, left - len(types[t]), chosen | 1 << t))
+        yield sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,21 @@ def test_oracle_guard_exit_code(capsys, tmp_path):
     assert "oracle guard" in err
 
 
+@pytest.mark.parametrize("command", ["maxwelfare", "solve"])
+def test_served_set_search_guard_exit_code(capsys, tmp_path, monkeypatch, command):
+    instance, out = tmp_path / "instance.json", tmp_path / "solution.json"
+    argv = ("--model", "divisible", "--agents", "12", "--goods", "3", "--seed", "0")
+    assert run(capsys, "gen", *argv, "--out", str(instance))[0] == EXIT_OK
+    assert run(capsys, command, str(instance), "--out", str(out))[0] == EXIT_OK
+    out.unlink()
+    monkeypatch.setattr(divisible, "SEARCH_GUARD", 50)
+    code, stdout, err = run(capsys, command, str(instance), "--out", str(out))
+    assert code == EXIT_ORACLE_GUARD
+    assert stdout == ""
+    assert err.count("\n") == 1 and "served-set search passed 50 steps" in err
+    assert not out.exists()
+
+
 # --- generation ------------------------------------------------------------
 
 

@@ -1,12 +1,17 @@
 """Divisible goods: equilibrium, subset LP, welfare maximization."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from caei import divisible
+from caei.cli import instance_from_json, main
 from caei.divisible import (
     EgConvergenceError,
+    SearchGuardError,
+    _served_unions,
     allocation_for_prices,
     max_welfare_caei,
     prices_for_allocation,
@@ -14,8 +19,8 @@ from caei.divisible import (
     solve_reduced_program,
     subset_caei_lp,
 )
-from caei.model import DivisibleInstance, bundle_price, compute_served
-from caei.verify import is_envy_free, oracle_caei_search, verify_caei
+from caei.model import DivisibleInstance, bundle_price, compute_served, group_types
+from caei.verify import OracleGuardError, is_envy_free, oracle_caei_search, verify_caei
 
 
 @pytest.fixture
@@ -168,6 +173,89 @@ def test_max_welfare_matches_oracle():
         oracle = oracle_caei_search(inst)
         assert sol is not None and oracle is not None
         assert sol.welfare == oracle.welfare
+
+
+def _gen(tmp_path, *argv):
+    path = tmp_path / "instance.json"
+    assert main(["gen", "--model", "divisible", *argv, "--out", str(path)]) == 0
+    return instance_from_json(json.loads(path.read_text()))[1]
+
+
+def _type_unions(instance):
+    """Every union of agent types, as a sorted tuple of agents."""
+    types = group_types(instance)
+    return [
+        tuple(sorted(i for k, members in enumerate(types) if mask >> k & 1 for i in members))
+        for mask in range(1 << len(types))
+    ]
+
+
+def _max_welfare_by_every_union(instance, require_full_clearing):
+    # the search before pruning: all 2^types unions, most agents first,
+    # ties in lexicographic order of the agents
+    for agents in sorted(_type_unions(instance), key=lambda agents: (-len(agents), agents)):
+        solution = subset_caei_lp(instance, agents, require_full_clearing)
+        if solution is not None:
+            return solution
+    return None
+
+
+def _pruning_sweep(tmp_path):
+    """Seeded `caei gen` instances of at most 6 types, half with duplicates."""
+    rng = random.Random(18)
+    for case in range(40):
+        goods = str(rng.randint(1, 3))
+        if case % 2:
+            n = rng.randint(3, 10)
+            argv = ["--agents", str(n), "--types", str(rng.randint(1, min(6, n - 1)))]
+        else:
+            argv = ["--agents", str(rng.randint(1, 6))]
+        yield _gen(tmp_path, *argv, "--goods", goods, "--seed", str(case))
+
+
+@pytest.mark.parametrize("require_full_clearing", [True, False])
+def test_pruned_search_matches_every_union_search(tmp_path, require_full_clearing):
+    skipped_fitting = 0
+    for instance in _pruning_sweep(tmp_path):
+        listed = {agents for size in _served_unions(instance) for agents in size}
+        for agents in _type_unions(instance):
+            if agents in listed:
+                continue
+            assert subset_caei_lp(instance, agents, require_full_clearing) is None
+            v = instance.demands
+            if all(sum(v[i][j] for i in agents) <= 1 for j in range(instance.num_goods)):
+                skipped_fitting += 1  # skipped for containment, not capacity
+        assert max_welfare_caei(
+            instance, require_full_clearing
+        ) == _max_welfare_by_every_union(instance, require_full_clearing)
+    assert skipped_fitting > 0
+
+
+def test_search_guard_raises_a_typed_error(tmp_path, monkeypatch):
+    instance = _gen(tmp_path, "--agents", "12", "--goods", "3", "--seed", "0")
+    assert max_welfare_caei(instance) is not None
+    monkeypatch.setattr(divisible, "SEARCH_GUARD", 50)
+    with pytest.raises(SearchGuardError) as raised:
+        max_welfare_caei(instance)
+    assert isinstance(raised.value, OracleGuardError)
+
+
+def test_max_welfare_on_18_distinct_types_takes_few_subset_lps(tmp_path, monkeypatch):
+    instance = _gen(tmp_path, "--agents", "18", "--goods", "3", "--seed", "0")
+    assert len(group_types(instance)) == 18
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return subset_caei_lp(*args)
+
+    monkeypatch.setattr(divisible, "subset_caei_lp", counted)
+    solution = max_welfare_caei(instance)
+    assert verify_caei(instance, solution, tolerance=0).is_caei
+    assert solution.welfare == 4
+    # every union of 5 or more agents, 258,096 of them, came first before
+    # the search was pruned
+    assert len(calls) <= 44
 
 
 # --- completion problems ---------------------------------------------------
