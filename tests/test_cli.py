@@ -1,6 +1,8 @@
 """Command-line round trips, exit codes, and generator determinism."""
 
+import hashlib
 import json
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction as F
@@ -472,6 +474,52 @@ def test_gen_outputs_solve_and_reverify(capsys, tmp_path):
             text = sol_file.read_text()
             solution = solution_from_json(json.loads(text), model)
             assert json.dumps(solution_to_json(model, solution), indent=2) + "\n" == text
+
+
+# endpoints over odd denominators, and a few halves: over their common
+# denominator 630 the sums lo + hi are both odd and even, so a midpoint
+# taken in ints over the endpoints' own grid would round
+ODD_CAKE = {
+    "model": "cake",
+    "demands": [
+        [["1/3", "5/7"]],
+        [["1/9", "2/5"], ["3/5", "13/15"]],
+        [["0", "1/3"]],
+        [["2/7", "1"]],
+        [["1/5", "1/3"], ["1/2", "5/7"]],
+        [["1/2", "5/7"]],
+        [["1/7", "3/7"], ["5/9", "7/9"]],
+    ],
+}
+
+
+def test_cake_solve_outputs_are_pinned(capsys, tmp_path):
+    # Pins the exit codes and stdout bytes of `caei solve` and then
+    # `caei verify --tol 0` on 40 seeded gen cakes (1-140 agents, 1-6
+    # goods, with and without --types and --contiguous), the golden
+    # three-agent cake and ODD_CAKE.
+    rng = random.Random(24)
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps(ODD_CAKE))
+    paths = [CAKE, str(odd)]
+    for k in range(40):
+        agents = rng.randint(1, 140)
+        flags = ["--contiguous"] if k % 4 >= 2 else []
+        if k % 2:
+            flags += ["--types", str(rng.randint(1, min(agents, 40)))]
+        path = tmp_path / f"cake{k}.json"
+        argv = ("gen", "--model", "cake", "--agents", str(agents), "--goods", str(rng.randint(1, 6)))
+        assert run(capsys, *argv, *flags, "--seed", str(k), "--out", str(path))[0] == EXIT_OK
+        paths.append(str(path))
+    digest = hashlib.sha256()
+    for k, path in enumerate(paths):
+        solution = tmp_path / f"solution{k}.json"
+        code, out, _ = run(capsys, "solve", path)
+        solution.write_text(out)
+        digest.update(f"{code}\n{out}".encode())
+        code, out, _ = run(capsys, "verify", path, str(solution), "--tol", "0")
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "d7c6c69e8a2ec3f559608f01fde08fa79706b4c9d018cb8c7f968cbbf0c5cdb0"
 
 
 def test_gen_rejects_impossible_requests(capsys):
