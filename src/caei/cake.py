@@ -49,6 +49,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .discrete import solve_caei
 from .divisible import allocation_for_prices, max_welfare_caei, prices_for_allocation
@@ -104,15 +105,26 @@ def refine_partition(instance: CakeInstance, extra_points=()) -> Partition:
     Every demand is a union of cells, so the cells can stand in for the
     cake as goods (``model.cell_goods``).
     """
-    points = {Fraction(0), Fraction(1), *map(Fraction, extra_points)}
-    for piece in instance.demands:
-        for lo, hi in piece:
-            points.update((lo, hi))
-    breakpoints = tuple(sorted(points))
+    extra = [Fraction(p) for p in extra_points]
+    unit = lcm(instance.unit, *(p.denominator for p in extra))
+    ticks = _cut_ticks(
+        instance, unit // instance.unit, (p.numerator * (unit // p.denominator) for p in extra)
+    )
     # demand endpoints lie in the cake, so only an extra point can leave it
-    if breakpoints[0] < 0 or breakpoints[-1] > 1:
+    if ticks[0] < 0 or ticks[-1] > unit:
         raise ValueError("extra points must lie in the cake [0, 1]")
-    return Partition(breakpoints)
+    return Partition(tuple(Fraction(t, unit) for t in ticks))
+
+
+def _cut_ticks(instance: CakeInstance, scale: int, extra=()) -> list[int]:
+    """The sorted distinct ints, over ``instance.unit * scale``, of 0, 1,
+    every demand endpoint and the ``extra`` ints."""
+    points = {0, instance.unit * scale, *extra}
+    for piece in instance.spans:
+        for lo, hi in piece:
+            points.add(lo * scale)
+            points.add(hi * scale)
+    return sorted(points)
 
 
 def solve_existence(instance: CakeInstance) -> CaeiSolution:
@@ -123,11 +135,17 @@ def solve_existence(instance: CakeInstance) -> CaeiSolution:
     discrete pricing algorithm always succeeds on unit-quantity cells.
     Cell prices spread uniformly over their interval; undemanded cells
     are free and go to agent 0.
+
+    The cut runs on the instance's integer grid with the unit halved,
+    so every midpoint is exact: endpoints ``2 * lo`` and ``2 * hi`` and
+    midpoints ``lo + hi`` over ``2 * instance.unit``.  Breakpoints
+    become Fractions once, for the output.
     """
-    midpoints = [(lo + hi) / 2 for piece in instance.demands for lo, hi in piece]
-    partition = refine_partition(instance, midpoints)
-    cells = partition.cells
-    wanted = [cells_within(partition.breakpoints, piece) for piece in instance.demands]
+    unit = 2 * instance.unit
+    ticks = _cut_ticks(instance, 2, (lo + hi for piece in instance.spans for lo, hi in piece))
+    wanted = [
+        cells_within(ticks, [(2 * lo, 2 * hi) for lo, hi in piece]) for piece in instance.spans
+    ]
     items = sorted(set().union(*wanted))
     item_of = {k: t for t, k in enumerate(items)}
     reduced = DiscreteInstance(
@@ -138,19 +156,22 @@ def solve_existence(instance: CakeInstance) -> CaeiSolution:
     assert inner is not None, "midpoint split leaves no singleton demands"
 
     n = instance.num_agents
-    pieces = [[] for _ in range(n)]
-    prices = [Fraction(0)] * len(cells)
-    for t, k in enumerate(items):
+    owned = [[] for _ in range(n)]
+    prices = [Fraction(0)] * (len(ticks) - 1)
+    # each cell is one copy, so its column holds a single 1: the owner
+    for t, (k, column) in enumerate(zip(items, zip(*inner.allocation))):
         prices[k] = inner.prices[t]
-        owner = next(i for i in range(n) if inner.allocation[i][t])
-        pieces[owner].append(cells[k])
-    for k in range(len(cells)):
-        if k not in item_of:
-            pieces[0].append(cells[k])
+        owned[column.index(1)].append(k)
+    owned[0].extend(k for k in range(len(prices)) if k not in item_of)
 
+    breakpoints = [Fraction(t, unit) for t in ticks]
+    densities = [
+        Fraction(price.numerator * unit, price.denominator * (hi - lo))
+        for price, lo, hi in zip(prices, ticks, ticks[1:])
+    ]
     solution = CaeiSolution(
-        tuple(canonicalize_piece(tuple(p)) for p in pieces),
-        cell_curve(partition.breakpoints, prices),
+        tuple(_cell_runs(sorted(cells), breakpoints) for cells in owned),
+        PriceCurve(breakpoints, densities),
         inner.served,
         inner.welfare,
         provenance="solve_existence",
@@ -158,6 +179,18 @@ def solve_existence(instance: CakeInstance) -> CaeiSolution:
     report = verify_caei(instance, solution)
     assert report.is_caei, f"existence construction broke: {report.violations}"
     return solution
+
+
+def _cell_runs(cells, breakpoints) -> tuple:
+    """The canonical piece made of the sorted cells: one interval per
+    run of adjacent cells."""
+    runs: list[list[int]] = []
+    for k in cells:
+        if runs and runs[-1][1] == k:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k, k + 1])
+    return tuple((breakpoints[a], breakpoints[b]) for a, b in runs)
 
 
 def greedy_contiguous(instance: CakeInstance) -> CaeiSolution:

@@ -6,8 +6,11 @@ strings and tags the file ``"exact": false``.  Floating-point literals
 are rejected on input so exact artifacts stay exact.
 
 Exit codes: 0 success or verified, 1 usage or malformed input,
-2 infeasible (NoCaei), 3 verification failure, 4 size guard:
-brute-force oracle or served-set search.
+2 infeasible (NoCaei), 3 verification failure, 4 size guard: a
+brute-force oracle (stderr ``oracle guard:``) or the served-set search
+(stderr ``search guard:``).
+
+``python -m caei`` runs the same command line.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from caei.model import (
 )
 from caei.verify import (
     OracleGuardError,
-    is_envy_free,
     oracle_caei_search,
     oracle_max_satisfiable,
-    verify_caei,
+    verify_with_envy,
 )
 
 EXIT_OK = 0
@@ -70,6 +72,22 @@ def parse_number(token, where: str) -> Fraction:
             f"{where}: floating-point literal {token!r}; write fractions as strings"
         )
     if isinstance(token, str):
+        # ASCII "n", "-n", "p/q" and "-p/q" go straight to int; anything
+        # else (signs, blanks, underscores, other digits, decimals and
+        # exponents) takes Fraction's own parser
+        numerator, slash, denominator = token.partition("/")
+        digits = numerator[1:] if numerator[:1] == "-" else numerator
+        if (
+            digits.isdigit()
+            and digits.isascii()
+            and (not slash or denominator.isdigit() and denominator.isascii())
+        ):
+            try:
+                if slash:
+                    return Fraction(int(numerator), int(denominator))
+                return Fraction(int(numerator))
+            except (ValueError, ZeroDivisionError):
+                raise CliError(f"{where}: cannot parse number {token!r}") from None
         exponent = token.lower().partition("e")[2]
         try:
             if exponent and abs(int(exponent)) > MAX_EXPONENT:
@@ -334,8 +352,9 @@ def cmd_verify(args) -> int:
     if tolerance < 0:
         raise CliError("--tol: tolerance must be nonnegative")
     try:
-        report = verify_caei(instance, solution, tolerance=tolerance, relaxed=args.relaxed)
-        envy_free = is_envy_free(instance, solution.allocation)
+        report, envy_free = verify_with_envy(
+            instance, solution, tolerance=tolerance, relaxed=args.relaxed
+        )
     except (TypeError, ValueError, IndexError) as err:
         raise CliError(f"solution does not fit the instance: {err}") from None
     payload = {
@@ -524,6 +543,9 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except divisible.SearchGuardError as err:
+        print(f"search guard: {err}", file=sys.stderr)
+        return EXIT_ORACLE_GUARD
     except OracleGuardError as err:
         print(f"oracle guard: {err}", file=sys.stderr)
         return EXIT_ORACLE_GUARD

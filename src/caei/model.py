@@ -9,19 +9,22 @@ Conventions: agents and items are 0-indexed everywhere; the cake is
 the interval [0, 1]; all exact quantities are `fractions.Fraction`
 (the numeric EG path hands back floats and is flagged inexact).
 
-Cake arithmetic runs on an integer grid: ``grid_pieces`` writes every
-endpoint as an int over one common denominator, and a price curve's
-``CurveGrid`` prices int spans with int rates, so sweeps, sums and
-comparisons touch no Fraction.
+Cake arithmetic runs on an integer grid: ``canonical_grid`` converts
+raw pieces once, writes every endpoint as an int over one common
+denominator and validates and merges the pieces there, and a price
+curve's ``CurveGrid`` prices int spans with int rates, so sweeps, sums
+and comparisons touch no Fraction.  A ``CakeInstance`` keeps its
+demands on that grid (``unit`` and ``spans``) beside the Fraction
+pieces it exposes as ``demands``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .exactmath import as_fraction
 
@@ -57,16 +60,8 @@ def canonicalize_piece(intervals) -> Piece:
     dropped, and the result is a tuple of disjoint intervals in
     increasing order inside [0, 1].
     """
-    cleaned = []
-    for lo, hi in intervals:
-        lo = as_fraction(lo)
-        hi = as_fraction(hi)
-        if lo > hi:
-            raise ValueError(f"interval [{lo}, {hi}] has negative length")
-        if not (0 <= lo and hi <= 1):
-            raise ValueError(f"interval [{lo}, {hi}] leaves the cake [0, 1]")
-        cleaned.append((lo, hi))
-    return tuple((lo, hi) for lo, hi in _merged_spans(cleaned))
+    unit, (spans,) = canonical_grid([intervals])
+    return _fraction_pieces([spans], unit)[0]
 
 
 def piece_length(piece: Piece) -> Fraction:
@@ -121,8 +116,8 @@ def piece_contains(outer, inner: Piece) -> bool:
 
 
 def grid_pieces(groups, base: int = 1):
-    """Every endpoint of ``groups`` (lists of canonical pieces) as an int
-    over one common denominator: the lcm of ``base`` and the endpoint
+    """Every endpoint of ``groups`` (lists of pieces) as an int over one
+    common denominator: the lcm of ``base`` and the endpoint
     denominators.  Returns that unit and the groups with int endpoints.
     """
     denominators = {x.denominator for group in groups for piece in group for pair in piece for x in pair}
@@ -138,6 +133,70 @@ def grid_pieces(groups, base: int = 1):
         ]
         for group in groups
     ]
+
+
+def canonical_grid(pieces, base: int = 1):
+    """Canonicalize raw pieces on one integer grid.
+
+    Every endpoint is converted once; the unit is the lcm of ``base``
+    and their denominators.  Returns that unit and an iterator over the
+    pieces in order, each as ``canonicalize_piece`` would make it but
+    with int endpoints over the unit: validated, merged and sorted with
+    int comparisons only.  The iterator raises where and what
+    ``canonicalize_piece`` would, had it been called on each piece in
+    turn.
+    """
+    converted = []
+    done = 0
+    failure = None
+    try:
+        for raw in pieces:
+            pairs = []
+            converted.append(pairs)
+            for lo, hi in raw:
+                pairs.append((as_fraction(lo), as_fraction(hi)))
+            done += 1
+    except Exception as err:  # raised in turn, after the pieces before it
+        failure = err
+    unit, (scaled,) = grid_pieces([converted], base)
+    return unit, _canonical_spans(converted, scaled, unit, done, failure)
+
+
+def _canonical_spans(converted, scaled, unit, done, failure):
+    for k, (pairs, ints) in enumerate(zip(converted, scaled)):
+        for (lo, hi), (a, b) in zip(pairs, ints):
+            if a > b:
+                raise ValueError(f"interval [{lo}, {hi}] has negative length")
+            if a < 0 or b > unit:
+                raise ValueError(f"interval [{lo}, {hi}] leaves the cake [0, 1]")
+        if k < done:
+            yield tuple((lo, hi) for lo, hi in _merged_spans(ints))
+    if failure is not None:
+        raise failure
+
+
+def _fraction_pieces(groups, unit: int):
+    """Int pieces over ``unit`` back as Fraction pieces, each distinct
+    endpoint made a Fraction once."""
+    value: dict = {}
+    out = []
+    for spans in groups:
+        piece = []
+        for lo, hi in spans:
+            if lo not in value:
+                value[lo] = Fraction(lo, unit)
+            if hi not in value:
+                value[hi] = Fraction(hi, unit)
+            piece.append((value[lo], value[hi]))
+        out.append(tuple(piece))
+    return out
+
+
+def rescale(pieces, factor: int):
+    """Int pieces with every endpoint multiplied by ``factor``."""
+    if factor == 1:
+        return pieces
+    return [tuple((lo * factor, hi * factor) for lo, hi in piece) for piece in pieces]
 
 
 def cells_within(breakpoints, piece: Piece) -> list[int]:
@@ -194,23 +253,41 @@ class DivisibleInstance:
 
 @dataclass(frozen=True)
 class CakeInstance:
-    """n agents demanding pieces of the cake [0, 1]."""
+    """n agents demanding pieces of the cake [0, 1].
+
+    The demands are canonicalized once, on one integer grid: demand i
+    is ``spans[i]``, sorted disjoint int intervals over ``unit``, the
+    lcm of the endpoint denominators.  ``demands`` holds the same
+    pieces in Fractions.
+    """
 
     demands: tuple[Piece, ...]
+    unit: int = field(init=False, repr=False, compare=False)
+    spans: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, demands):
-        pieces = []
-        for i, raw in enumerate(demands):
+        unit, canonical = canonical_grid(demands)
+        spans = []
+        while True:
             try:
-                piece = canonicalize_piece(raw)
+                piece = next(canonical)
+            except StopIteration:
+                break
             except ValueError as err:
-                raise ValueError(f"agent {i}: {err}") from None
+                raise ValueError(f"agent {len(spans)}: {err}") from None
             if not piece:
-                raise ValueError(f"agent {i} demands a null piece")
-            pieces.append(piece)
-        if not pieces:
+                raise ValueError(f"agent {len(spans)} demands a null piece")
+            spans.append(piece)
+        if not spans:
             raise ValueError("instance needs at least one agent")
-        object.__setattr__(self, "demands", tuple(pieces))
+        # endpoints dropped or merged away may have refined the grid
+        coarser = gcd(unit, *(x for piece in spans for pair in piece for x in pair))
+        if coarser > 1:
+            unit //= coarser
+            spans = [tuple((lo // coarser, hi // coarser) for lo, hi in piece) for piece in spans]
+        object.__setattr__(self, "demands", tuple(_fraction_pieces(spans, unit)))
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "spans", tuple(spans))
 
     @property
     def num_agents(self) -> int:

@@ -21,6 +21,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .exactmath import GREATER_EQUAL, LESS_EQUAL, LinearProgram, OPTIMAL, simplex_solve
 from .model import (
@@ -31,15 +32,15 @@ from .model import (
     Instance,
     PriceCurve,
     bundle_price,
-    canonicalize_piece,
+    canonical_grid,
     carve_cells,
     cell_curve,
     cell_goods,
     demand_bundle,
-    grid_pieces,
     piece_contains,
     piece_intersection,
     piece_length,
+    rescale,
     single_minded_utility,
 )
 
@@ -85,6 +86,19 @@ def verify_caei(
     ``tolerance``, ``1 + tolerance`` or ``1 - tolerance``, taken
     exactly, rounded down to the grid.
     """
+    return _verify(instance, solution, tolerance, relaxed, envy=False)[0]
+
+
+def verify_with_envy(
+    instance: Instance, solution: CaeiSolution, tolerance=0, relaxed: bool = False
+) -> tuple[CaeiReport, bool]:
+    """``verify_caei``'s report and ``is_envy_free``'s verdict on the
+    solution's allocation, from one pass: on cake both read the one
+    canonicalization and integer grid of the pieces."""
+    return _verify(instance, solution, tolerance, relaxed, envy=True)
+
+
+def _verify(instance, solution, tolerance, relaxed, envy):
     violations: list[Violation] = []
     allocation = solution.allocation
     prices = solution.prices
@@ -95,11 +109,12 @@ def verify_caei(
         raise ValueError("tolerance must be nonnegative")
 
     if isinstance(instance, CakeInstance):
-        partition_ok, spends, covered, cost, one = _cake_terms(
+        partition_ok, spends, covered, cost, one, grid = _cake_terms(
             instance, solution, tolerance, relaxed, violations
         )
         bound = lambda x: _grid_floor(x, one)
         magnitude = lambda x: Fraction(x, one)
+        envy_free = lambda: _envy_sweep(*grid)
     else:
         partition_ok = _check_partition(instance, allocation, tolerance, relaxed, violations)
         spends = [bundle_price(prices, bundle) for bundle in allocation]
@@ -107,6 +122,7 @@ def verify_caei(
         cost = lambda i: bundle_price(prices, demand_bundle(instance, i))
         one = 1
         bound = magnitude = lambda x: x
+        envy_free = lambda: is_envy_free(instance, allocation)
 
     budgets_ok = True
     budget = bound(1 + tolerance)
@@ -137,9 +153,10 @@ def verify_caei(
     is_caei = partition_ok and budgets_ok and optimal_bundles_ok and label_ok
     slack = bound(tolerance)
     is_ceei = is_caei and all(abs(s - one) <= slack for s in spends)
-    return CaeiReport(
+    report = CaeiReport(
         partition_ok, budgets_ok, optimal_bundles_ok, is_caei, is_ceei, tuple(violations)
     )
+    return report, envy_free() if envy else None
 
 
 def _grid_floor(value, unit: int) -> int:
@@ -151,19 +168,30 @@ def _grid_floor(value, unit: int) -> int:
     return value.numerator * unit // value.denominator
 
 
+def _on_grid(instance, unit: int, bundles, base: int = 1):
+    """The demands and the canonical int ``bundles`` over ``unit`` (a
+    multiple of the instance's unit), both rescaled to the lcm of
+    ``unit`` and ``base``; returns that unit, the demands and the
+    bundles."""
+    common = lcm(unit, base)
+    return common, rescale(instance.spans, common // instance.unit), rescale(bundles, common // unit)
+
+
 def _cake_terms(instance, solution, tolerance, relaxed, violations):
     """The cake's partition check, spends, coverage and demand costs, on
     the grid of the demands, the canonical pieces and the curve.
 
-    Returns partition_ok, the spends, covered(i), cost(i) and the money
-    unit that spends and costs are ints over.
+    Returns partition_ok, the spends, covered(i), cost(i), the money
+    unit that spends and costs are ints over, and the demands and
+    pieces on the grid.
     """
-    pieces = [canonicalize_piece(p) for p in solution.allocation]
     curve = solution.prices
+    unit, bundles = canonical_grid(solution.allocation, instance.unit)
+    bundles = list(bundles)
     if not isinstance(curve, PriceCurve):
         raise TypeError("cake prices must be a PriceCurve")
     grid = curve.grid
-    unit, (demands, pieces) = grid_pieces((instance.demands, pieces), grid.unit)
+    unit, demands, pieces = _on_grid(instance, unit, bundles, grid.unit)
     scale = unit // grid.unit
     slack = _grid_floor(tolerance, unit)
 
@@ -183,7 +211,7 @@ def _cake_terms(instance, solution, tolerance, relaxed, violations):
     spends = [grid.price(piece, scale) for piece in pieces]
     held = [_missing(piece, demand) <= slack for piece, demand in zip(pieces, demands)]
     cost = lambda i: grid.price(demands[i], scale)
-    return ok, spends, held.__getitem__, cost, grid.rate_unit * unit
+    return ok, spends, held.__getitem__, cost, grid.rate_unit * unit, (demands, pieces)
 
 
 def _missing(bundle, demand) -> int:
@@ -279,11 +307,20 @@ def is_envy_free(instance: Instance, allocation) -> bool:
 
 
 def _cake_envy_free(instance: CakeInstance, allocation) -> bool:
-    # a bundle holding agent i's demand covers its left end, so one
-    # sweep over the bundle intervals in order of start, with the open
-    # ones in a heap by end, finds every candidate owner
-    bundles = [canonicalize_piece(allocation[k]) for k in range(instance.num_agents)]
-    _, (demands, bundles) = grid_pieces((instance.demands, bundles))
+    unit, bundles = canonical_grid(
+        (allocation[k] for k in range(instance.num_agents)), instance.unit
+    )
+    return _envy_sweep(*_on_grid(instance, unit, list(bundles))[1:])
+
+
+def _envy_sweep(demands, bundles) -> bool:
+    """Is no agent without its demand looking at a bundle that holds
+    it?  Demands and canonical bundles as int spans on one grid.
+
+    A bundle holding agent i's demand covers its left end, so one sweep
+    over the bundle intervals in order of start, with the open ones in
+    a heap by end, finds every candidate owner.
+    """
     envious = sorted(
         (demand[0][0], i)
         for i, demand in enumerate(demands)

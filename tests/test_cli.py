@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -18,6 +21,7 @@ from caei.cli import (
     EXIT_OK,
     EXIT_ORACLE_GUARD,
     EXIT_USAGE,
+    MAX_EXPONENT,
     MODELS,
     CliError,
     instance_from_json,
@@ -186,6 +190,49 @@ def test_huge_exponents_rejected(capsys, tmp_path, literal):
     code, _, err = run(capsys, "solve", str(bad))
     assert code == EXIT_USAGE
     assert "demands[0][0]: exponent" in err
+
+
+def fraction_parse(token, where):
+    """parse_number's str path without the fast path: the exponent bound,
+    then Fraction's own parser."""
+    exponent = token.lower().partition("e")[2]
+    try:
+        if exponent and abs(int(exponent)) > MAX_EXPONENT:
+            raise CliError(
+                f"{where}: exponent of {token!r} is outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
+            )
+        return F(token)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{where}: cannot parse number {token!r}") from None
+
+
+def outcome(parse, token):
+    try:
+        return parse(token, "x")
+    except CliError as err:
+        return f"CliError: {err}"
+
+
+def test_parse_number_fast_path_matches_fraction_parser():
+    # the tokens the fast path takes or must leave alone, and 3000
+    # seeded strings over digits, signs, slashes, blanks, underscores,
+    # decimal points, exponents and non-ASCII digits
+    tokens = [
+        "0", "-0", "+0", "7", "-7", "1/2", "-1/2", "+1/2", " 1/2", "1/2 ", "1/0", "0/0",
+        "-0/5", "007/014", "1_000", "1_000/3", "٣/٤", "٣", "1/٤", "²", "1/", "/2", "-",
+        "--1", "1/-2", "1//2", "1/2/3", "", "1.5", "1e3", "1/2e3", "9" * 5000,
+        "1/" + "9" * 5000, "-" + "9" * 4300, "1/" + "9" * 4300,
+    ]
+    rng = random.Random(7)
+    alphabet = "0123456789" * 3 + "-+/ _.eE٣٤"
+    for _ in range(3000):
+        tokens.append("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))))
+    fast = 0
+    for token in tokens:
+        expected = outcome(fraction_parse, token)
+        assert outcome(parse_number, token) == expected, token
+        fast += re.fullmatch(r"-?[0-9]+(/[0-9]+)?", token) is not None
+    assert fast > 300
 
 
 def test_exponent_bound_is_inclusive():
@@ -399,6 +446,7 @@ def test_served_set_search_guard_exit_code(capsys, tmp_path, monkeypatch, comman
     assert code == EXIT_ORACLE_GUARD
     assert stdout == ""
     assert err.count("\n") == 1 and "served-set search passed 50 steps" in err
+    assert err.startswith("search guard: ")
     assert not out.exists()
 
 
@@ -520,6 +568,23 @@ def test_cake_solve_outputs_are_pinned(capsys, tmp_path):
         code, out, _ = run(capsys, "verify", path, str(solution), "--tol", "0")
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == "d7c6c69e8a2ec3f559608f01fde08fa79706b4c9d018cb8c7f968cbbf0c5cdb0"
+
+
+def test_python_dash_m_runs_the_command_line(capsys, tmp_path):
+    argv = ["gen", "--model", "cake", "--agents", "6", "--goods", "2", "--seed", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "caei", *argv], capture_output=True, env=env, check=False
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, out.encode(), b"")
+    bad = subprocess.run(
+        [sys.executable, "-m", "caei", "solve", str(tmp_path / "missing.json")],
+        capture_output=True, env=env, check=False,
+    )
+    assert bad.returncode == EXIT_USAGE and bad.stderr.startswith(b"error: ")
 
 
 def test_gen_rejects_impossible_requests(capsys):

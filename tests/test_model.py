@@ -1,10 +1,12 @@
 """Data model: validation, piece algebra, utilities, prices, types."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from caei.exactmath import as_fraction
 from caei.model import (
     CaeiSolution,
     CakeInstance,
@@ -104,6 +106,90 @@ def test_discrete_rejects_unknown_item():
 def test_discrete_rejects_undemanded_item():
     with pytest.raises(ValueError):
         DiscreteInstance([1, 1], [{0}])
+
+
+def per_piece_canonical(intervals):
+    """canonicalize_piece by its definition, one interval at a time in
+    Fractions: convert, validate, then sort and merge."""
+    cleaned = []
+    for lo, hi in intervals:
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval [{lo}, {hi}] has negative length")
+        if not (0 <= lo and hi <= 1):
+            raise ValueError(f"interval [{lo}, {hi}] leaves the cake [0, 1]")
+        if lo < hi:
+            cleaned.append((lo, hi))
+    merged = []
+    for lo, hi in sorted(cleaned):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def per_agent_demands(demands):
+    """CakeInstance's demands by their definition: each agent's piece
+    canonicalized in turn, its errors prefixed with the agent."""
+    pieces = []
+    for i, raw in enumerate(demands):
+        try:
+            piece = per_piece_canonical(raw)
+        except ValueError as err:
+            raise ValueError(f"agent {i}: {err}") from None
+        if not piece:
+            raise ValueError(f"agent {i} demands a null piece")
+        pieces.append(piece)
+    if not pieces:
+        raise ValueError("instance needs at least one agent")
+    return tuple(pieces)
+
+
+def result(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_grid_canonicalization_matches_per_piece_definition():
+    # 3000 seeded cakes of up to four agents: valid pieces mixed with
+    # reversed, escaping and zero-length intervals, floats, junk
+    # strings, zero denominators and malformed pairs, so that errors of
+    # every kind meet in one instance and the first one must win
+    rng = random.Random(5)
+    good = [F(0), F(1), F(1, 3), F(1, 2), "2/3", 1, 0, "1/4", F(5, 7)]
+    bad = [F(-1, 3), F(4, 3), "x", "1/0", 0.5, None]
+
+    def interval():
+        if rng.random() < 0.1:
+            return rng.choice([(F(1, 2),), (0, 1, 1), "ab", 7])
+        pick = lambda: rng.choice(good) if rng.random() < 0.93 else rng.choice(bad)
+        lo, hi = pick(), pick()
+        return (lo, hi)
+
+    outcomes = set()
+    for _ in range(3000):
+        demands = [[interval() for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 4))]
+        expected = result(per_agent_demands, demands)
+        got = result(lambda d: CakeInstance(d).demands, demands)
+        assert got == expected, demands
+        for piece in demands:
+            one = result(per_piece_canonical, piece)
+            assert result(canonicalize_piece, piece) == one, piece
+            outcomes.add(one.split(":")[0] if isinstance(one, str) else "ok")
+    assert {"ok", "ValueError", "TypeError", "ZeroDivisionError", "LpError"} <= outcomes
+
+
+def test_cake_instance_keeps_its_integer_grid():
+    # the zero-length (1/5, 1/5) and the merged-away 7/8 leave no trace
+    inst = CakeInstance([[("1/3", "1/2"), (0, "1/6"), ("1/5", "1/5")], [("3/4", "7/8"), ("7/8", 1)]])
+    assert inst.unit == 12
+    assert inst.spans == (((0, 2), (4, 6)), ((9, 12),))
+    assert CakeInstance(inst.demands).spans == inst.spans
+    assert inst.demands == (((F(0), F(1, 6)), (F(1, 3), F(1, 2))), ((F(3, 4), F(1)),))
+    assert inst == CakeInstance(inst.demands) and "spans" not in repr(inst)
 
 
 # -- piece algebra -----------------------------------------------------------

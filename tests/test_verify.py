@@ -29,6 +29,7 @@ from caei.verify import (
     oracle_caei_search,
     oracle_max_satisfiable,
     verify_caei,
+    verify_with_envy,
 )
 
 # cake pieces on a coarse grid, so that overlaps of three or more
@@ -410,6 +411,48 @@ def test_cake_envy_matches_pairwise_definition(data):
         k != i and held(bundles[k], inst.demands[i]) for i in envious for k in range(n)
     )
     assert is_envy_free(inst, allocation) == expected
+
+
+def _outcome(check):
+    try:
+        return check()
+    except (TypeError, ValueError, IndexError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_verify_with_envy_is_the_two_checks(divisible_solution):
+    # verify_with_envy shares one canonicalization and grid between the
+    # report and the envy verdict: on 60 seeded cakes and malformed
+    # copies of their solutions it must give what verify_caei and then
+    # is_envy_free give, errors included
+    rng = random.Random(31)
+    cases = [divisible_solution]
+    for _ in range(60):
+        inst = _report_cake(rng)
+        sol = solve_existence(inst)
+        pieces = [list(p) for p in sol.allocation]
+        i = rng.randrange(inst.num_agents)
+        junk = rng.choice([(F(2, 3), F(1, 3)), (F(-1, 5), F(1, 2)), (0.5, F(1)), ("x", 1), (F(1, 2),)])
+        broken = [list(p) for p in pieces]
+        broken[i].insert(rng.randrange(len(broken[i]) + 1), junk)
+        short = pieces[:-1] + [pieces[-1] + [(F(0), F(1, 7))]]
+        cases += [
+            (inst, sol),
+            (inst, replace(sol, allocation=tuple(map(tuple, broken)))),
+            (inst, replace(sol, allocation=tuple(map(tuple, short)))),
+            (inst, replace(sol, allocation=tuple(map(tuple, broken)), prices=(F(1),))),
+            (inst, replace(sol, prices=(F(1),))),
+        ]
+    kinds = set()
+    for inst, sol in cases:
+        for tolerance, relaxed in ((0, False), (F(1, 100), False), (0, True)):
+            report = _outcome(lambda: verify_caei(inst, sol, tolerance, relaxed))
+            expected = report if isinstance(report, str) else (
+                report, _outcome(lambda: is_envy_free(inst, sol.allocation))
+            )
+            assert _outcome(lambda: verify_with_envy(inst, sol, tolerance, relaxed)) == expected
+            kinds.add(expected.split(":")[0] if isinstance(expected, str) else expected[1])
+    assert kinds == {True, False, "ValueError", "LpError", "TypeError"}
 
 
 def test_envy_free_when_nobody_covets(divisible_solution):
