@@ -175,12 +175,12 @@ def _canonical_spans(converted, scaled, unit, done, failure):
         raise failure
 
 
-def _fraction_pieces(groups, unit: int):
+def _fraction_pieces(pieces, unit: int):
     """Int pieces over ``unit`` back as Fraction pieces, each distinct
     endpoint made a Fraction once."""
     value: dict = {}
     out = []
-    for spans in groups:
+    for spans in pieces:
         piece = []
         for lo, hi in spans:
             if lo not in value:
