@@ -5,7 +5,10 @@ routes produce competitive outcomes:
 
 * ``solve_existence`` discretizes the cake at demand midpoints and
   runs the discrete-goods pricing algorithm on the resulting cells.
-  Always succeeds, but makes no welfare promise.
+  Always succeeds, but makes no welfare promise.  It cuts on the
+  instance's integer grid (``CakeInstance.unit`` and ``spans``) at
+  half the unit, so every midpoint is an exact int; the breakpoints
+  become Fractions once, for the curve and the pieces it returns.
 
 * ``greedy_contiguous`` handles single-interval demands in polynomial
   time: it drops every agent whose interval contains another agent's
@@ -27,20 +30,21 @@ routes produce competitive outcomes:
   reductions on the induced cell partition.
 
 The cells come from one reduction: ``refine_partition`` cuts the cake
-at every demand endpoint (plus any extra points), so each cell lies
-inside a demand or outside it, and ``model.cell_goods``,
+at every demand endpoint (plus any extra points), sorting ints on the
+instance's grid, so each cell lies inside a demand or outside it, and
+``model.cell_goods``,
 ``model.carve_cells`` and ``model.cell_curve`` carry the cells to
 divisible goods and back.  The cake oracle in ``verify`` runs the
 divisible oracle through the same mapping.
 
 Piece queries cost O(|piece| log cells) steps: the cells inside a
 demand come from ``model.cells_within`` (a bisected run of breakpoints
-per interval), and a piece is priced by the curve's integer kernel
-(``model.CurveGrid``: int breakpoints over the lcm of their
-denominators, bisected, and a running total of int rates).
-``verify_caei`` puts the demands, the pieces and the curve on one
-integer grid and checks overlaps, coverage, spends and containment
-there with sorted sweeps.
+per interval, ints in ``solve_existence``), and a piece is priced by
+the curve's integer kernel (``model.CurveGrid``: int breakpoints over
+the lcm of their denominators, bisected, and a running total of int
+rates).  ``verify_caei`` puts the pieces and the curve on the
+instance's integer grid, refined where they need it, and checks
+overlaps, coverage, spends and containment there with sorted sweeps.
 """
 
 from __future__ import annotations

@@ -6,13 +6,15 @@ numbers.  The oracles are deliberately brute-force and kept on
 desk-scale guards; they exist to give the solvers something
 independent to be measured against.
 
-On cake, `verify_caei` and `is_envy_free` first canonicalize every
-piece and then scale every endpoint once to an int over one common
-denominator (`model.grid_pieces`): the overlap sweep, the coverage sum,
-spends and demand costs (through the curve's `model.CurveGrid`),
-containment and the envy sweep all compare ints.  A bound such as
-``1 + tolerance`` is taken exactly, a float included, and rounded down
-to the grid; magnitudes leave the grid as exact Fractions.
+On cake, `verify_caei` and `is_envy_free` canonicalize every piece on
+one integer grid (`model.canonical_grid`), a refinement of the one the
+instance keeps its demands on, and rescale the demands' ints to it:
+the overlap sweep, the coverage sum, spends and demand costs (through
+the curve's `model.CurveGrid`), containment and the envy sweep all
+compare ints.  `verify_with_envy` gives both verdicts from one such
+grid.  A bound such as ``1 + tolerance`` is taken exactly, a float
+included, and rounded down to the grid; magnitudes leave the grid as
+exact Fractions.
 """
 
 from __future__ import annotations
@@ -168,15 +170,6 @@ def _grid_floor(value, unit: int) -> int:
     return value.numerator * unit // value.denominator
 
 
-def _on_grid(instance, unit: int, bundles, base: int = 1):
-    """The demands and the canonical int ``bundles`` over ``unit`` (a
-    multiple of the instance's unit), both rescaled to the lcm of
-    ``unit`` and ``base``; returns that unit, the demands and the
-    bundles."""
-    common = lcm(unit, base)
-    return common, rescale(instance.spans, common // instance.unit), rescale(bundles, common // unit)
-
-
 def _cake_terms(instance, solution, tolerance, relaxed, violations):
     """The cake's partition check, spends, coverage and demand costs, on
     the grid of the demands, the canonical pieces and the curve.
@@ -191,7 +184,10 @@ def _cake_terms(instance, solution, tolerance, relaxed, violations):
     if not isinstance(curve, PriceCurve):
         raise TypeError("cake prices must be a PriceCurve")
     grid = curve.grid
-    unit, demands, pieces = _on_grid(instance, unit, bundles, grid.unit)
+    common = lcm(unit, grid.unit)
+    demands = rescale(instance.spans, common // instance.unit)
+    pieces = rescale(bundles, common // unit)
+    unit = common
     scale = unit // grid.unit
     slack = _grid_floor(tolerance, unit)
 
@@ -310,7 +306,8 @@ def _cake_envy_free(instance: CakeInstance, allocation) -> bool:
     unit, bundles = canonical_grid(
         (allocation[k] for k in range(instance.num_agents)), instance.unit
     )
-    return _envy_sweep(*_on_grid(instance, unit, list(bundles))[1:])
+    bundles = list(bundles)
+    return _envy_sweep(rescale(instance.spans, unit // instance.unit), bundles)
 
 
 def _envy_sweep(demands, bundles) -> bool:
