@@ -127,6 +127,46 @@ def test_instance_strings_are_not_lists(capsys, tmp_path, instance, where):
 
 
 @pytest.mark.parametrize(
+    "demands,message",
+    [
+        ([[["1/2", "1"]], [[True, "1"]]], "demands[1][0]: expected a number, got True"),
+        ([[[0, 1]], [[True, 1]]], "demands[1][0]: expected a number, got True"),
+        ([[["0", "1"]], [["0", True]]], "demands[1][0]: expected a number, got True"),
+        ([[["x", "1"]], [["x", "1"]]], "demands[0][0]: cannot parse number 'x'"),
+        ([[["0", "1"]], [["1e5000", "1"]], [["1e5000", "1"]]],
+         f"demands[1][0]: exponent of '1e5000' is outside -{MAX_EXPONENT}..{MAX_EXPONENT}"),
+    ],
+    ids=["string-then-bool", "int-then-bool", "one-then-bool", "bad-twice", "exponent-twice"],
+)
+def test_cake_decoder_repeats_keep_their_errors(capsys, tmp_path, demands, message):
+    # a token that parsed before does not let an equal-hashing bool
+    # through, and a token that failed fails again where it first appears
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"model": "cake", "demands": demands}))
+    code, out, err = run(capsys, "solve", str(bad))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "allocation,message",
+    [
+        ([[["0", "1/2"]], [["1/2", True]]], "allocation[1][0]: expected a number, got True"),
+        ([[[0, 1]], [[True, 1]]], "allocation[1][0]: expected a number, got True"),
+        ([[["y", "1"]], [["0", "y"]]], "allocation[0][0]: cannot parse number 'y'"),
+    ],
+    ids=["string-then-bool", "int-then-bool", "bad-twice"],
+)
+def test_cake_solution_repeats_keep_their_errors(capsys, tmp_path, allocation, message):
+    solution = tmp_path / "solution.json"
+    run(capsys, "solve", CAKE, "--out", str(solution))
+    data = json.loads(solution.read_text())
+    data["allocation"] = allocation
+    solution.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", CAKE, str(solution))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "path,key,value,message",
     [
         (DIVISIBLE, ("prices",), "12", "prices: expected a list, got str"),

@@ -1,5 +1,6 @@
 """Discrete goods: existence, the pricing algorithm, relaxed welfare."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -221,3 +222,135 @@ def test_completion_rejects_bad_allocations(three_three):
         prices_for_allocation_discrete(
             three_three, ((0, 1), (1, 1), (1, 1), (0, 0))
         )
+
+
+# --- the pricing algorithm at scale ----------------------------------------
+
+
+def _seeded_discrete(rng, n, m, copies, density):
+    """A seeded instance with items renumbered onto the demanded ones."""
+    demands = [
+        frozenset(j for j in range(m) if rng.random() < density) or {rng.randrange(m)}
+        for _ in range(n)
+    ]
+    items = sorted(set().union(*demands))
+    item_of = {j: t for t, j in enumerate(items)}
+    return DiscreteInstance(
+        tuple(rng.randint(1, copies) for _ in items),
+        tuple(frozenset(item_of[j] for j in d) for d in demands),
+    )
+
+
+def _midpoint_split(rng, n, m):
+    """The shape the cake solver hands over: one copy per cell, every
+    demand a run of at least two cells, so no singletons."""
+    demands = []
+    for _ in range(n):
+        lo = rng.randrange(m - 1)
+        hi = rng.randint(lo + 2, min(m, lo + 2 + rng.randrange(m // 2 + 1)))
+        demands.append(frozenset(range(lo, hi)))
+    items = sorted(set().union(*demands))
+    item_of = {j: t for t, j in enumerate(items)}
+    return DiscreteInstance(
+        (1,) * len(items), tuple(frozenset(item_of[j] for j in d) for d in demands)
+    )
+
+
+def _restart_solve_caei(instance):
+    """The round-restart loop: every round scans the items from 0 and
+    lists each item's active demanders anew."""
+    n, m = instance.num_agents, instance.num_items
+    demands = instance.demands
+    for j, quantity in enumerate(instance.quantities):
+        if sum(1 for d in demands if d == {j}) > quantity:
+            return None
+    active = sorted(range(n), key=lambda i: (len(demands[i]), i))
+    counts = [[0] * m for _ in range(n)]
+    prices = [None] * m
+    allocated = set()
+    trace = []
+    while True:
+        round_info = None
+        for j in range(m):
+            if j in allocated:
+                continue
+            demanders = [i for i in active if j in demands[i]]
+            if len(demanders) > instance.quantities[j]:
+                round_info = (j, demanders)
+                break
+        if round_info is None:
+            break
+        j, demanders = round_info
+        receivers = demanders[: instance.quantities[j]]
+        prices[j] = F(1)
+        for i in receivers:
+            counts[i][j] += 1
+        allocated.add(j)
+        active = [i for i in active if i not in receivers]
+        trace.append(("unit_price", j, tuple(receivers)))
+    sliver = F(1, 1 + sum(instance.quantities))
+    remainder = [j for j in range(m) if j not in allocated]
+    for j in remainder:
+        prices[j] = sliver
+        demanders = [i for i in active if j in demands[i]]
+        for i in demanders:
+            counts[i][j] += 1
+        leftover = instance.quantities[j] - len(demanders)
+        if leftover:
+            target = demanders[-1] if demanders else active[-1] if active else n - 1
+            counts[target][j] += leftover
+    if remainder:
+        trace.append(("remainder", tuple(remainder), sliver))
+    allocation = tuple(tuple(row) for row in counts)
+    return allocation, tuple(prices), tuple(trace)
+
+
+def test_solve_caei_matches_the_round_restart_loop():
+    rng = random.Random(2500)
+    solved = 0
+    for k in range(2400):
+        if k % 6 == 5:
+            inst = _midpoint_split(rng, rng.randint(1, 12), rng.randint(2, 10))
+        else:
+            inst = _seeded_discrete(
+                rng, rng.randint(1, 12), rng.randint(1, 8), rng.randint(1, 3), rng.random()
+            )
+        expected = _restart_solve_caei(inst)
+        sol = solve_caei(inst)
+        assert caei_exists(inst) == (expected is not None)
+        if expected is None:
+            assert sol is None
+            continue
+        assert (sol.allocation, sol.prices, sol.trace) == expected
+        assert sol.served == frozenset(
+            i for i, d in enumerate(inst.demands) if all(sol.allocation[i][j] for j in d)
+        )
+        assert sol.welfare == len(sol.served)
+        solved += 1
+    assert 1000 < solved < 2400
+
+
+def test_solve_caei_outputs_are_pinned():
+    # Pins allocation, prices, served set, welfare and trace of
+    # `solve_caei`, and the `caei_exists` verdict, on 90 seeded instances
+    # with up to 150 agents and 50 items: random demands with 1-3 copies
+    # (some with no CAEI) and the cake solver's midpoint-split shape
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+    verdicts = []
+    for k in range(90):
+        n, m = rng.randint(1, 150), rng.randint(1, 50)
+        if k % 3 == 2:
+            inst = _midpoint_split(rng, n, max(m, 2))
+        else:
+            density = rng.choice([0.05, 0.2, 0.5])
+            inst = _seeded_discrete(rng, n, m, rng.randint(1, 3), density)
+        exists = caei_exists(inst)
+        verdicts.append(exists)
+        sol = solve_caei(inst)
+        fields = None if sol is None else (
+            sol.allocation, sol.prices, sol.served, sol.welfare, sol.trace
+        )
+        digest.update(f"{exists}\n{fields!r}\n".encode())
+    assert 10 < verdicts.count(False) < 80
+    assert digest.hexdigest() == "21c6ae3aab3dc33c7dc09417304dd4c957cf60b6ea1929fc53e399c1213efdde"
