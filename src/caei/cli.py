@@ -110,7 +110,7 @@ def parse_count(token, where: str) -> int:
 def format_number(value, exact: bool, where: str) -> str:
     try:
         if exact:
-            return str(Fraction(value))
+            return str(value if type(value) in (int, Fraction) else Fraction(value))
         return repr(float(value))
     except ValueError:
         # str() of an int past Python's digit limit (4300 by default)
@@ -134,7 +134,23 @@ def _parse_numbers(values, where: str, parse=parse_number) -> list:
 
 
 def _parse_pieces(values, where: str) -> list:
-    """A JSON array of cake pieces, each a list of [lo, hi] pairs."""
+    """A JSON array of cake pieces, each a list of [lo, hi] pairs.
+
+    Cakes repeat a few endpoints many times, so each distinct string is
+    parsed once.  Only strings that parsed are remembered: a bool, equal
+    to 0 or 1 as a key, still reaches ``parse_number`` and is refused,
+    and a bad token fails again wherever it appears.
+    """
+    parsed = {}
+
+    def number(token, at):
+        if type(token) is not str:
+            return parse_number(token, at)
+        value = parsed.get(token)
+        if value is None:
+            value = parsed[token] = parse_number(token, at)
+        return value
+
     pieces = []
     for i, piece in enumerate(_parse_list(values, where)):
         intervals = []
@@ -142,7 +158,7 @@ def _parse_pieces(values, where: str) -> list:
             at = f"{where}[{i}][{k}]"
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise CliError(f"{at}: expected an [lo, hi] pair")
-            intervals.append((parse_number(pair[0], at), parse_number(pair[1], at)))
+            intervals.append((number(pair[0], at), number(pair[1], at)))
         pieces.append(intervals)
     return pieces
 

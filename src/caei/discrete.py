@@ -22,12 +22,17 @@ from .model import (
 
 
 def caei_exists(instance: DiscreteInstance) -> bool:
-    """No item type may have more single-minded-on-it agents than copies."""
-    for j, quantity in enumerate(instance.quantities):
-        singletons = sum(1 for d in instance.demands if d == {j})
-        if singletons > quantity:
-            return False
-    return True
+    """No item type may have more single-minded-on-it agents than copies.
+
+    One pass over the demands counts the singletons of every type:
+    O(n + m) for n agents and m item types.
+    """
+    singletons = [0] * instance.num_items
+    for demand in instance.demands:
+        if len(demand) == 1:
+            (j,) = demand
+            singletons[j] += 1
+    return all(s <= q for s, q in zip(singletons, instance.quantities))
 
 
 def solve_caei(instance: DiscreteInstance) -> CaeiSolution | None:
@@ -39,54 +44,56 @@ def solve_caei(instance: DiscreteInstance) -> CaeiSolution | None:
     (fewest-demands-first order) and retire them.  Everything left is
     priced at a uniform sliver; leftover copies pile onto the last
     active demander so the market clears.
+
+    Each item's demanders are listed once, in that order, with a count
+    of the active ones that falls as agents retire.  Counts only fall,
+    so a type that is not over-demanded never becomes so, and one
+    forward scan over the types finds every scarce one.  The pricing
+    costs O(n log n + D) for D the total size of the demands, plus the
+    n x m allocation it returns.
     """
     if not caei_exists(instance):
         return None
     n, m = instance.num_agents, instance.num_items
-    demands = instance.demands
+    demands, quantities = instance.demands, instance.quantities
     order = sorted(range(n), key=lambda i: (len(demands[i]), i))
-    active = list(order)
+    demanders: list[list[int]] = [[] for _ in range(m)]
+    for i in order:
+        for j in demands[i]:
+            demanders[j].append(i)
+    live = [len(agents) for agents in demanders]
+    retired = [False] * n
     counts = [[0] * m for _ in range(n)]
     prices: list[Fraction | None] = [None] * m
-    allocated: set[int] = set()
+    remainder = []
     trace: list[tuple] = []
 
-    while True:
-        round_info = None
-        for j in range(m):
-            if j in allocated:
-                continue
-            demanders = [i for i in active if j in demands[i]]
-            if len(demanders) > instance.quantities[j]:
-                round_info = (j, demanders)
-                break
-        if round_info is None:
-            break
-        j, demanders = round_info
-        receivers = demanders[: instance.quantities[j]]
+    for j in range(m):
+        if live[j] <= quantities[j]:
+            remainder.append(j)
+            continue
+        receivers = [i for i in demanders[j] if not retired[i]][: quantities[j]]
         prices[j] = Fraction(1)
         for i in receivers:
             counts[i][j] += 1
-        allocated.add(j)
-        active = [i for i in active if i not in receivers]
+            retired[i] = True
+            for k in demands[i]:
+                live[k] -= 1
         trace.append(("unit_price", j, tuple(receivers)))
 
-    sliver = Fraction(1, 1 + sum(instance.quantities))
-    remainder = [j for j in range(m) if j not in allocated]
+    sliver = Fraction(1, 1 + sum(quantities))
+    # the last agent in order is never a receiver: it comes last among
+    # the demanders of any type, and a scarce type has more of them
+    # than copies, so it is still active here
+    last = order[-1]
     for j in remainder:
         prices[j] = sliver
-        demanders = [i for i in active if j in demands[i]]
-        for i in demanders:
+        takers = [i for i in demanders[j] if not retired[i]]
+        for i in takers:
             counts[i][j] += 1
-        leftover = instance.quantities[j] - len(demanders)
+        leftover = quantities[j] - len(takers)
         if leftover:
-            if demanders:
-                target = demanders[-1]
-            elif active:
-                target = active[-1]
-            else:
-                target = n - 1
-            counts[target][j] += leftover
+            counts[takers[-1] if takers else last][j] += leftover
     if remainder:
         trace.append(("remainder", tuple(remainder), sliver))
 

@@ -313,10 +313,10 @@ class DiscreteInstance:
                 raise ValueError(f"item {j} needs at least one copy, got {q}")
         sets = []
         for i, d in enumerate(demands):
-            items = frozenset(int(j) for j in d)
+            items = frozenset(map(int, d))
             if not items:
                 raise ValueError(f"agent {i} demands no items")
-            if any(j < 0 or j >= len(qs) for j in items):
+            if min(items) < 0 or max(items) >= len(qs):
                 raise ValueError(f"agent {i} demands an unknown item")
             sets.append(items)
         if not sets:
