@@ -360,6 +360,33 @@ def test_curve_for_allocation_rejects_bad_input(schedule_demo):
         )
 
 
+def test_curve_for_allocation_outputs_are_pinned(capsys):
+    # 24 seeded gen cakes (1-12 agents): the curve, or None, that
+    # supports the solve_existence allocation (multi-interval cakes) or
+    # the greedy_contiguous allocation (contiguous, pairwise distinct
+    # demands), and the same allocation handed out in reverse agent
+    # order, which is mostly unsupportable
+    rng = random.Random(26)
+    outputs = []
+    for k in range(24):
+        agents = rng.randint(1, 12)
+        if k % 2:
+            flags = ["--goods", "1", "--contiguous", "--types", str(agents)]
+        else:
+            flags = ["--goods", str(rng.randint(1, 4))]
+            if k % 4 == 2:
+                flags += ["--types", str(rng.randint(1, agents))]
+        argv = ["gen", "--model", "cake", "--agents", str(agents), *flags, "--seed", str(k)]
+        assert main(argv) == 0
+        _, inst = instance_from_json(json.loads(capsys.readouterr().out))
+        allocation = (greedy_contiguous if k % 2 else solve_existence)(inst).allocation
+        for pieces in (allocation, allocation[::-1]):
+            outputs.append(repr(price_curve_for_allocation(inst, pieces)))
+    assert outputs.count("None") == 12
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "c8ba910ddb5e082071b4d8f6242444772fead8b0b5326444a0a724cf2b43003e"
+
+
 def test_allocation_for_curve_uniform_two(schedule_demo):
     curve = PriceCurve((F(0), F(1)), (F(2),))
     allocation = allocation_for_price_curve(schedule_demo, curve)

@@ -610,6 +610,31 @@ def test_cake_solve_outputs_are_pinned(capsys, tmp_path):
     assert digest.hexdigest() == "d7c6c69e8a2ec3f559608f01fde08fa79706b4c9d018cb8c7f968cbbf0c5cdb0"
 
 
+def test_divisible_and_relaxed_outputs_are_pinned(capsys, tmp_path):
+    # Pins the exit codes and stdout bytes of `caei maxwelfare` and
+    # `caei solve` on 32 seeded divisible instances (3-10 agents, 1-4
+    # goods) and of `caei maxwelfare --relaxed` on 16 seeded discrete
+    # instances (3-10 agents, 3-4 items), with and without --types, so
+    # the served-set search, the price-only LP and its water-fill of
+    # leftovers keep their outputs.
+    rng = random.Random(26)
+    digest = hashlib.sha256()
+    for model, count, fewest_goods, commands in (
+        ("divisible", 32, 1, (("maxwelfare",), ("solve",))),
+        ("discrete", 16, 3, (("maxwelfare", "--relaxed"),)),
+    ):
+        for k in range(count):
+            agents = 3 + k * 8 // count
+            flags = ["--types", str(rng.randint(1, agents - 1))] if k % 2 else []
+            path = tmp_path / f"{model}{k}.json"
+            argv = ("gen", "--model", model, "--agents", str(agents), "--goods", str(rng.randint(fewest_goods, 4)))
+            assert run(capsys, *argv, *flags, "--seed", str(k), "--out", str(path))[0] == EXIT_OK
+            for command in commands:
+                code, out, _ = run(capsys, command[0], str(path), *command[1:])
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "adc1ceb8f4857315eb15ce5377172dcf5f8032482fa66dde7efda6c0eea20949"
+
+
 def test_python_dash_m_runs_the_command_line(capsys, tmp_path):
     argv = ["gen", "--model", "cake", "--agents", "6", "--goods", "2", "--seed", "3"]
     code, out, _ = run(capsys, *argv)
