@@ -27,14 +27,14 @@ routes produce competitive outcomes:
 
 * completion: ``price_curve_for_allocation`` / ``allocation_for_price_curve``
   recover the missing half of an outcome through the divisible-goods
-  reductions on the induced cell partition.
+  completions on the cells cut at every piece endpoint or curve
+  breakpoint, where a piece's shares are its cell rows (``model.cell_rows``).
 
 The cells come from one reduction: ``refine_partition`` cuts the cake
 at every demand endpoint (plus any extra points), sorting ints on the
 instance's grid, so each cell lies inside a demand or outside it, and
-``model.cell_goods``,
-``model.carve_cells`` and ``model.cell_curve`` carry the cells to
-divisible goods and back.  The cake oracle in ``verify`` runs the
+``model.cell_goods``, ``model.carve_cells`` and ``model.cell_curve``
+carry the cells to divisible goods and back.  The cake oracle in ``verify`` runs the
 divisible oracle through the same mapping.
 
 Piece queries cost O(|piece| log cells) steps: the cells inside a
@@ -66,10 +66,10 @@ from .model import (
     carve_cells,
     cell_curve,
     cell_goods,
+    cell_rows,
     cells_within,
     piece_intersection,
     piece_difference,
-    piece_length,
 )
 from .verify import verify_caei
 
@@ -325,19 +325,12 @@ def price_curve_for_allocation(instance: CakeInstance, allocation):
         )
     pieces = tuple(canonicalize_piece(tuple(piece)) for piece in allocation)
     endpoints = [point for piece in pieces for pair in piece for point in pair]
-    partition = refine_partition(instance, endpoints)
-    cells = partition.cells
-    shares = tuple(
-        tuple(
-            piece_length(piece_intersection(piece, (cell,))) / (cell[1] - cell[0])
-            for cell in cells
-        )
-        for piece in pieces
-    )
-    prices = prices_for_allocation(cell_goods(instance, partition.breakpoints), shares)
+    # every piece endpoint is a breakpoint: a piece holds each cell whole or not at all
+    points = refine_partition(instance, endpoints).breakpoints
+    prices = prices_for_allocation(cell_goods(instance, points), cell_rows(points, pieces))
     if prices is None:
         return None
-    return cell_curve(partition.breakpoints, prices)
+    return cell_curve(points, prices)
 
 
 def allocation_for_price_curve(instance: CakeInstance, curve: PriceCurve):

@@ -8,7 +8,8 @@ are rejected on input so exact artifacts stay exact.
 Exit codes: 0 success or verified, 1 usage or malformed input,
 2 infeasible (NoCaei), 3 verification failure, 4 size guard: a
 brute-force oracle (stderr ``oracle guard:``) or the served-set search
-(stderr ``search guard:``).
+(stderr ``search guard:``), 5 the numeric equilibrium of
+``solve --method eg`` missed its tolerance (stderr ``eg:``).
 
 ``python -m caei`` runs the same command line.
 """
@@ -42,6 +43,7 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_VERIFIED = 3
 EXIT_ORACLE_GUARD = 4
+EXIT_EG_CONVERGENCE = 5
 
 MODELS = ("divisible", "cake", "discrete")
 
@@ -109,8 +111,9 @@ def parse_count(token, where: str) -> int:
 
 def format_number(value, exact: bool, where: str) -> str:
     try:
+        # exact values are ints and Fractions: "n" or "p/q"
         if exact:
-            return str(value if type(value) in (int, Fraction) else Fraction(value))
+            return str(value)
         return repr(float(value))
     except ValueError:
         # str() of an int past Python's digit limit (4300 by default)
@@ -565,6 +568,9 @@ def main(argv=None) -> int:
     except OracleGuardError as err:
         print(f"oracle guard: {err}", file=sys.stderr)
         return EXIT_ORACLE_GUARD
+    except divisible.EgConvergenceError as err:
+        print(f"eg: {err}", file=sys.stderr)
+        return EXIT_EG_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ Two routes to a competitive allocation from equal incomes:
   type's demand contains, are listed, one size at a time and behind a
   step guard (``SearchGuardError``).
 
-``prices_for_allocation`` and ``allocation_for_prices`` complete a
-half-specified outcome: given one side, find the other or report that
+``prices_for_allocation`` (the eps-price LP) and ``allocation_for_prices``
+(a capacity and a budget check, then the same water-fill, no LP) complete
+a half-specified outcome: given one side, find the other or report that
 none exists.
 """
 
@@ -298,6 +299,24 @@ def _eps_prices(num_goods, afford, priced_out, cap=None, tiebreak=None):
     return tuple(out.assignment[f"p{j}"] for j in range(num_goods))
 
 
+def _fill_leftovers(allocation, prices, taken) -> None:
+    """Hand out the rest of each good j beyond ``taken[j]``, in place:
+    a free good to agent 0, a priced one into the unspent budgets in
+    agent order.  It all fits when the prices sum to at most n."""
+    spends = [bundle_price(prices, row) for row in allocation]
+    for j, price in enumerate(prices):
+        left = 1 - taken[j]
+        if price == 0:
+            allocation[0][j] += left
+            continue
+        for i, row in enumerate(allocation):
+            take = min(left, (1 - spends[i]) / price)
+            if take > 0:
+                row[j] += take
+                spends[i] += take * price
+                left -= take
+
+
 def subset_caei_lp(
     instance: DivisibleInstance,
     served,
@@ -312,9 +331,8 @@ def subset_caei_lp(
     budgets.  A second solve at the optimal slack maximizes the total
     cost of the served demands, which pins the returned prices
     deterministically.  Served agents get their demands; under full
-    clearing each leftover good is water-filled into the remaining
-    budgets in agent order (a free good goes to agent 0), otherwise
-    leftovers stay unsold.
+    clearing ``_fill_leftovers`` hands out the rest, otherwise it stays
+    unsold.
     """
     n, m = instance.num_agents, instance.num_goods
     served = frozenset(served)
@@ -337,18 +355,7 @@ def subset_caei_lp(
 
     allocation = [list(v[i]) if i in served else [Fraction(0)] * m for i in range(n)]
     if require_full_clearing:
-        spends = [bundle_price(prices, row) for row in allocation]
-        for j in range(m):
-            left = 1 - taken[j]
-            if prices[j] == 0:
-                allocation[0][j] += left
-                continue
-            for i in range(n):
-                take = min(left, (1 - spends[i]) / prices[j])
-                if take > 0:
-                    allocation[i][j] += take
-                    spends[i] += take * prices[j]
-                    left -= take
+        _fill_leftovers(allocation, prices, taken)
 
     solution = CaeiSolution(
         tuple(tuple(row) for row in allocation),
@@ -503,36 +510,20 @@ def allocation_for_prices(instance: DivisibleInstance, prices):
 
     Whoever can afford its demand at these prices must be satisfied;
     everyone must afford its own bundle; every good must be handed
-    out fully.
+    out fully.  With S the agents whose demands cost at most 1, that is
+    possible exactly when the demands of S fit into every good and the
+    prices sum to at most n, which the n budgets must cover in all.
+    Budgets are fungible across goods, so once S hold their demands
+    ``_fill_leftovers`` pours the rest into the unspent budgets.  No
+    one outside S ends up holding its demand: it costs more than 1.
     """
-    m = instance.num_goods
-    n = instance.num_agents
+    n, m = instance.num_agents, instance.num_goods
     prices = validate_price_vector(tuple(as_fraction(p) for p in prices), m)
-    served = frozenset(
-        i
-        for i in range(n)
-        if bundle_price(prices, instance.demands[i]) <= 1
-    )
-    lp = LinearProgram()
-    for i in range(n):
-        for j in range(m):
-            lp.add_variable(f"x{i}_{j}")
-    lp.set_objective({})
-    for i in range(n):
-        spend = {f"x{i}_{j}": prices[j] for j in range(m) if prices[j]}
-        if spend:
-            lp.add_constraint(spend, LESS_EQUAL, 1)
-        if i in served:
-            for j in range(m):
-                if instance.demands[i][j]:
-                    lp.add_constraint(
-                        {f"x{i}_{j}": 1}, GREATER_EQUAL, instance.demands[i][j]
-                    )
-    for j in range(m):
-        lp.add_constraint({f"x{i}_{j}": 1 for i in range(n)}, EQUAL, 1)
-    out = simplex_solve(lp)
-    if out.status != OPTIMAL:
+    v = instance.demands
+    served = frozenset(i for i in range(n) if bundle_price(prices, v[i]) <= 1)
+    taken = [sum((v[i][j] for i in served), Fraction(0)) for j in range(m)]
+    if any(total > 1 for total in taken) or sum(prices) > n:
         return None
-    return tuple(
-        tuple(out.assignment[f"x{i}_{j}"] for j in range(m)) for i in range(n)
-    )
+    allocation = [list(v[i]) if i in served else [Fraction(0)] * m for i in range(n)]
+    _fill_leftovers(allocation, prices, taken)
+    return tuple(tuple(row) for row in allocation)

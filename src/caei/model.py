@@ -434,16 +434,23 @@ class CurveGrid:
 # each agent wants whole or not at all, so cell k is one divisible good.
 
 
+def cell_rows(breakpoints, pieces) -> tuple[tuple[Fraction, ...], ...]:
+    """Per canonical piece, 1 for each cell [breakpoints[k], breakpoints[k+1]]
+    inside it and 0 for the others (its shares of the cells, when they
+    are cut at its endpoints)."""
+    width = len(breakpoints) - 1
+    rows = []
+    for piece in pieces:
+        inside = set(cells_within(breakpoints, piece))
+        rows.append(tuple(Fraction(1) if k in inside else ZERO for k in range(width)))
+    return tuple(rows)
+
+
 def cell_goods(instance: CakeInstance, breakpoints) -> DivisibleInstance:
     """The divisible instance whose good k is the cell
     [breakpoints[k], breakpoints[k+1]]: an agent needs all of the cells
     inside its demand and none of the others."""
-    width = len(breakpoints) - 1
-    rows = []
-    for piece in instance.demands:
-        inside = set(cells_within(breakpoints, piece))
-        rows.append(tuple(Fraction(1) if k in inside else ZERO for k in range(width)))
-    return DivisibleInstance(rows)
+    return DivisibleInstance(cell_rows(breakpoints, instance.demands))
 
 
 def carve_cells(breakpoints, shares) -> tuple[Piece, ...]:

@@ -16,6 +16,7 @@ from hypothesis import example, given, strategies as st
 
 from caei import discrete, divisible
 from caei.cli import (
+    EXIT_EG_CONVERGENCE,
     EXIT_INFEASIBLE,
     EXIT_NOT_VERIFIED,
     EXIT_OK,
@@ -490,6 +491,22 @@ def test_served_set_search_guard_exit_code(capsys, tmp_path, monkeypatch, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("--agents", "44", "--goods", "7", "--seed", "34"),
+    ("--agents", "50", "--goods", "4", "--seed", "91", "--types", "12"),
+    ("--agents", "35", "--goods", "4", "--seed", "127", "--types", "8"),
+])
+def test_eg_convergence_failure_exit_code(capsys, tmp_path, argv):
+    # seeds whose numeric equilibrium ends just above its tolerance
+    instance, out = tmp_path / "instance.json", tmp_path / "solution.json"
+    assert run(capsys, "gen", "--model", "divisible", *argv, "--out", str(instance))[0] == EXIT_OK
+    code, stdout, err = run(capsys, "solve", str(instance), "--method", "eg", "--out", str(out))
+    assert (code, stdout) == (EXIT_EG_CONVERGENCE, "")
+    assert err.startswith("eg: final residual ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # --- generation ------------------------------------------------------------
 
 
@@ -650,6 +667,23 @@ def test_python_dash_m_runs_the_command_line(capsys, tmp_path):
         capture_output=True, env=env, check=False,
     )
     assert bad.returncode == EXIT_USAGE and bad.stderr.startswith(b"error: ")
+
+
+def test_runtime_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies: importing the package and
+    # its command line in a fresh interpreter loads nothing else
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import caei, caei.cli\n"
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "caei" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"caei"}
 
 
 def test_gen_rejects_impossible_requests(capsys):

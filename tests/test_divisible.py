@@ -2,11 +2,13 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from caei import divisible
+from caei.cake import allocation_for_price_curve, refine_partition, solve_existence
 from caei.cli import instance_from_json, main
 from caei.divisible import (
     EgConvergenceError,
@@ -19,7 +21,17 @@ from caei.divisible import (
     solve_reduced_program,
     subset_caei_lp,
 )
-from caei.model import DivisibleInstance, bundle_price, compute_served, group_types
+from caei.exactmath import EQUAL, GREATER_EQUAL, LESS_EQUAL, OPTIMAL, LinearProgram, simplex_solve
+from caei.model import (
+    CaeiSolution,
+    CakeInstance,
+    DivisibleInstance,
+    PriceCurve,
+    bundle_price,
+    cell_goods,
+    compute_served,
+    group_types,
+)
 from caei.verify import OracleGuardError, is_envy_free, oracle_caei_search, verify_caei
 
 
@@ -309,3 +321,95 @@ def test_allocation_for_prices_serves_affordable(two_agents):
     allocation = allocation_for_prices(two_agents, (F(0), F(2)))
     assert allocation is not None
     assert 0 in compute_served(two_agents, allocation)
+
+
+def lp_completion_exists(instance, prices):
+    """Reference verdict: the n*m feasibility LP that fixed-price
+    completion once solved.  Each agent spends at most 1, each agent
+    whose demand costs at most 1 holds it, and every good is handed
+    out fully."""
+    n, m = instance.num_agents, instance.num_goods
+    lp = LinearProgram()
+    for i in range(n):
+        for j in range(m):
+            lp.add_variable(f"x{i}_{j}")
+    lp.set_objective({})
+    for i, demand in enumerate(instance.demands):
+        if spend := {f"x{i}_{j}": prices[j] for j in range(m) if prices[j]}:
+            lp.add_constraint(spend, LESS_EQUAL, 1)
+        if bundle_price(prices, demand) <= 1:
+            for j, d in enumerate(demand):
+                if d:
+                    lp.add_constraint({f"x{i}_{j}": 1}, GREATER_EQUAL, d)
+    for j in range(m):
+        lp.add_constraint({f"x{i}_{j}": 1 for i in range(n)}, EQUAL, 1)
+    return simplex_solve(lp).status == OPTIMAL
+
+
+def assert_completes(instance, prices, allocation):
+    """The allocation clears at these prices with tolerance 0, serving
+    exactly the agents who can afford their demands."""
+    affordable = frozenset(
+        i for i in range(instance.num_agents) if bundle_price(prices, instance.demands[i]) <= 1
+    )
+    solution = CaeiSolution(allocation, prices, affordable, len(affordable))
+    report = verify_caei(instance, solution, tolerance=0)
+    assert report.is_caei, report.violations
+
+
+def test_allocation_for_prices_matches_the_lp():
+    # seeded markets of 1-8 agents and 1-4 goods, priced with zeros,
+    # small fractions and prices above n
+    rng = random.Random(2026)
+    feasible = 0
+    for _ in range(400):
+        n, m = rng.randint(1, 8), rng.randint(1, 4)
+        rows = []
+        while len(rows) < n:
+            row = [F(rng.randint(0, 6), 6) for _ in range(m)]
+            if any(row):
+                rows.append(row)
+        instance = DivisibleInstance(rows)
+        prices = tuple(
+            rng.choices((F(0), F(rng.randint(1, 6), rng.randint(1, 3)), F(n + 1)), (3, 6, 1))[0]
+            for _ in range(m)
+        )
+        allocation = allocation_for_prices(instance, prices)
+        assert (allocation is not None) == lp_completion_exists(instance, prices)
+        if allocation is not None:
+            feasible += 1
+            assert_completes(instance, prices, allocation)
+    assert feasible == 91
+
+
+def test_allocation_for_price_curve_matches_the_lp(capsys):
+    # seeded gen cakes priced by solve_existence's curve, which always
+    # completes, and by that curve halved and doubled, which may not
+    outcomes = Counter()
+    for seed in range(12):
+        argv = ["gen", "--model", "cake", "--agents", str(2 + seed % 6), "--goods", "3"]
+        assert main([*argv, "--seed", str(seed)]) == 0
+        _, cake = instance_from_json(json.loads(capsys.readouterr().out))
+        curve = solve_existence(cake).prices
+        for factor in (1, F(1, 2), 2):
+            priced = PriceCurve(curve.breakpoints, tuple(d * factor for d in curve.densities))
+            allocation = allocation_for_price_curve(cake, priced)
+            breakpoints = refine_partition(cake, priced.breakpoints).breakpoints
+            cells = [priced.piece_price(((lo, hi),)) for lo, hi in zip(breakpoints, breakpoints[1:])]
+            assert (allocation is not None) == lp_completion_exists(cell_goods(cake, breakpoints), cells)
+            outcomes[factor, allocation is not None] += 1
+            if allocation is not None:
+                assert_completes(cake, priced, allocation)
+    assert outcomes[1, True] == 12
+    assert outcomes[F(1, 2), False] and outcomes[2, False]
+
+
+def test_fixed_price_completion_builds_no_lp(monkeypatch, two_agents):
+    def refuse(lp):
+        raise AssertionError("fixed-price completion solved an LP")
+
+    monkeypatch.setattr(divisible, "simplex_solve", refuse)
+    assert allocation_for_prices(two_agents, (F(1, 3), F(5, 3))) is not None
+    assert allocation_for_prices(two_agents, (F(3), F(3))) is None
+    cake = CakeInstance((((F(0), F(1, 2)),), ((F(1, 2), F(1)),)))
+    assert allocation_for_price_curve(cake, PriceCurve((F(0), F(1)), (F(2),))) is not None
