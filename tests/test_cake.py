@@ -281,6 +281,25 @@ def test_greedy_outputs_are_pinned():
     assert digest == "469cc5a2ab62838c181528b71ac8fa2e059aecfb6e4c37a0a4d6425444cd4219"
 
 
+def test_greedy_outputs_with_twins_are_pinned():
+    # 300 seeded contiguous cakes drawing their demands from a small pool,
+    # so twins and containers are common: the drop rule and the slivers
+    # of unserved twins stay the same
+    rng = random.Random(3030)
+    outputs = []
+    for _ in range(300):
+        grid = rng.choice((7, 12, 60, 1000))
+        pool = []
+        for _ in range(rng.randint(1, 5)):
+            cuts = sorted(rng.sample(range(grid + 1), 2))
+            pool.append((F(cuts[0], grid), F(cuts[1], grid)))
+        spans = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+        sol = greedy_contiguous(interval_instance(*spans))
+        outputs.append(repr((sol.allocation, sol.prices, sol.served, sol.trace, sol.provenance)))
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "f3a8e3e8d179016c99c40c3ce87dc186cd8f37a7273705caf3ec2a15f5263430"
+
+
 # --- welfare maximization --------------------------------------------------
 
 
