@@ -15,8 +15,11 @@ routes produce competitive outcomes:
   interval (an identical twin's included), schedules the rest
   earliest finish first, and prices each scheduled interval with a
   cheap prefix and an expensive suffix so that every budget closes at
-  exactly 1.  The pricing certificate is re-verified; there is no
-  fallback search.
+  exactly 1.  It runs on the instance's integer grid with the unit
+  quartered, keeps the free cake as a sorted list of int gaps and
+  cuts each price-1 sliver off the first gap its agent reaches, found
+  by a bisect; breakpoints become Fractions once, at the output.  The
+  pricing certificate is re-verified; there is no fallback search.
 
 * ``max_welfare_fixed_agents`` searches unions of agent types over
   the cells between demand endpoints and lets the exact price-only
@@ -68,8 +71,6 @@ from .model import (
     cell_goods,
     cell_rows,
     cells_within,
-    piece_intersection,
-    piece_difference,
 )
 from .verify import verify_caei
 
@@ -214,14 +215,21 @@ def greedy_contiguous(instance: CakeInstance) -> CaeiSolution:
     more than 1.  A demand that contains another costs at least as
     much, and twins whose cake no winner covers each take a sliver in
     it.  The certificate is checked exactly.
+
+    Runs in O(n log n) steps plus the re-verification, on the
+    instance's integer grid with the unit quartered, so a sliver (a
+    quarter of the shortest cell between demand endpoints) is an int.
+    The free cake is the sorted list of gaps between the winners, and
+    each sliver comes off the first gap that ends after its agent's
+    start, found by a bisect.
     """
     if not instance.is_contiguous():
         raise ValueError("greedy scheduling needs single-interval demands")
     n = instance.num_agents
-    spans = [piece[0] for piece in instance.demands]
-    base = refine_partition(instance)
-    shortest = min(hi - lo for lo, hi in base.cells)
-    delta = shortest / 4
+    unit = 4 * instance.unit
+    spans = [(4 * lo, 4 * hi) for ((lo, hi),) in instance.spans]
+    ticks = _cut_ticks(instance, 4)
+    delta = min(b - a for a, b in zip(ticks, ticks[1:])) // 4
     eps = Fraction(1, 2 * n + 2)
 
     # In finish order, latest starts first on a tie, an interval contains
@@ -240,44 +248,51 @@ def greedy_contiguous(instance: CakeInstance) -> CaeiSolution:
             reach = spans[i][1]
 
     pieces = [[] for _ in range(n)]
-    regions = []
-    remaining = ((Fraction(0), Fraction(1)),)
+    regions, free, reach = [], [], 0
     for order, w in enumerate(winners, start=1):
         s, f = spans[w]
         pieces[w].append((s, f))
         regions.append((s, s + delta, order * eps))
         regions.append((s + delta, f - delta, Fraction(0)))
         regions.append((f - delta, f, 1 - order * eps))
-        remaining = piece_difference(remaining, ((s, f),))
+        if reach < s:
+            free.append((reach, s))
+        reach = f
+    if reach < unit:
+        free.append((reach, unit))
     served = frozenset(winners)
     for i in sorted(set(range(n)) - served):
-        available = piece_intersection(instance.demands[i], remaining)
-        if not available:
+        start, finish = spans[i]
+        k = bisect_right(free, start, key=lambda run: run[1])
+        if k == len(free) or free[k][0] >= finish:
             continue
-        lo, run_end = available[0]
-        next_bp = base.breakpoints[bisect_right(base.breakpoints, lo)]
-        hi = lo + min(delta, run_end - lo, next_bp - lo)
+        run_lo, run_hi = free[k]
+        lo = max(start, run_lo)
+        hi = lo + min(delta, run_hi - lo, ticks[bisect_right(ticks, lo)] - lo)
         pieces[i].append((lo, hi))
         regions.append((lo, hi, Fraction(1)))
-        remaining = piece_difference(remaining, ((lo, hi),))
-    for lo, hi in remaining:
+        free[k : k + 1] = [run for run in ((run_lo, lo), (hi, run_hi)) if run[0] < run[1]]
+    for lo, hi in free:
         pieces[0].append((lo, hi))
         regions.append((lo, hi, Fraction(0)))
 
     regions.sort()
-    assert regions[0][0] == 0 and regions[-1][1] == 1
+    assert regions[0][0] == 0 and regions[-1][1] == unit
     assert all(a[1] == b[0] for a, b in zip(regions, regions[1:]))
-    breakpoints = (Fraction(0),) + tuple(hi for _, hi, _ in regions)
-    densities = tuple(price / (hi - lo) for lo, hi, price in regions)
     solution = CaeiSolution(
-        tuple(canonicalize_piece(tuple(p)) for p in pieces),
-        PriceCurve(breakpoints, densities),
+        tuple(
+            canonicalize_piece(tuple((Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in p))
+            for p in pieces
+        ),
+        PriceCurve(
+            (Fraction(0),) + tuple(Fraction(hi, unit) for _, hi, _ in regions),
+            tuple(price * unit / (hi - lo) for lo, hi, price in regions),
+        ),
         served,
         len(winners),
         provenance="greedy_contiguous",
         trace=tuple(
-            ScheduledJob(w, spans[w][0], spans[w][1], k)
-            for k, w in enumerate(winners, start=1)
+            ScheduledJob(w, *instance.demands[w][0], k) for k, w in enumerate(winners, start=1)
         ),
     )
     report = verify_caei(instance, solution)

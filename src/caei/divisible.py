@@ -80,8 +80,9 @@ def solve_eg(instance: DivisibleInstance, tolerance: float = 1e-9) -> CaeiSoluti
     the prices.  The search runs projected gradient on the duals
     (whose gradient is exactly the excess demand) with backtracking,
     plus Newton refinement on the binding set through the exact linear
-    solver.  Raises EgConvergenceError instead of returning a bad
-    answer.
+    solver.  The descent, the Newton polish and the final check stop
+    on one residual: the largest over-demand or lam_j * |excess_j|.
+    Raises EgConvergenceError instead of returning a bad answer.
     """
     program = solve_reduced_program(instance, tolerance)
     n, m = instance.num_agents, instance.num_goods
@@ -144,12 +145,6 @@ def solve_reduced_program(
             for j in range(m)
         ], inverse_costs
 
-    def residual_of(lam, excess):
-        res = 0.0
-        for j in range(m):
-            res = max(res, excess[j], lam[j] * abs(excess[j]))
-        return res
-
     lam = [float(n) / m] * m
     value = dual_value(lam)
     step = 1.0
@@ -157,7 +152,7 @@ def solve_reduced_program(
     while iterations < max_iterations:
         iterations += 1
         excess, _ = excess_demand(lam)
-        res = residual_of(lam, excess)
+        res = _residual_of(lam, excess)
         if res < target:
             break
         if res < 1e-2:
@@ -193,7 +188,7 @@ def solve_reduced_program(
 
     lam = [x if x > 1e-12 else 0.0 for x in lam]
     excess, inverse_costs = excess_demand(lam)
-    res = residual_of(lam, excess)
+    res = _residual_of(lam, excess)
     if not res < target * 10:
         raise EgConvergenceError(f"final residual {res:.3e} above tolerance")
     return EgProgram(
@@ -202,6 +197,14 @@ def solve_reduced_program(
         iterations,
         res,
     )
+
+
+def _residual_of(lam, excess) -> float:
+    """The largest over-demand or price-weighted excess lam_j * |excess_j|."""
+    res = 0.0
+    for j, x in enumerate(excess):
+        res = max(res, x, lam[j] * abs(x))
+    return res
 
 
 def _newton_polish(v, lam, target, rounds: int = 60):
@@ -221,14 +224,7 @@ def _newton_polish(v, lam, target, rounds: int = 60):
             math.fsum(v[i][j] / costs[i] for i in range(n)) - 1.0 for j in range(m)
         ]
         support = [j for j in range(m) if lam[j] > 1e-10 or excess[j] > 0]
-        res = max(
-            [abs(excess[j]) for j in support]
-            + [max(excess[j], 0.0) for j in range(m)]
-            + [0.0]
-        )
-        if res < target:
-            return lam
-        if not support:
+        if _residual_of(lam, excess) < target or not support:
             return lam
         jacobian = [
             [

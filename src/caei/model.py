@@ -15,7 +15,10 @@ denominator and validates and merges the pieces there, and a price
 curve's ``CurveGrid`` prices int spans with int rates, so sweeps, sums
 and comparisons touch no Fraction.  A ``CakeInstance`` keeps its
 demands on that grid (``unit`` and ``spans``) beside the Fraction
-pieces it exposes as ``demands``.
+pieces it exposes as ``demands``, and every cake solver schedules or
+cuts on those ints.  The Fraction piece helpers left
+(``piece_intersection``, ``piece_length``) serve the verifier's
+overlap check between demands and reference checks.
 """
 
 from __future__ import annotations
@@ -75,26 +78,6 @@ def piece_intersection(a: Piece, b: Piece) -> Piece:
             lo, hi = max(lo1, lo2), min(hi1, hi2)
             if lo < hi:
                 out.append((lo, hi))
-    return canonicalize_piece(out)
-
-
-def piece_difference(a: Piece, b: Piece) -> Piece:
-    """The part of `a` not covered by `b`."""
-    out = []
-    for lo, hi in a:
-        segments = [(lo, hi)]
-        for blo, bhi in b:
-            next_segments = []
-            for slo, shi in segments:
-                if bhi <= slo or blo >= shi:
-                    next_segments.append((slo, shi))
-                    continue
-                if slo < blo:
-                    next_segments.append((slo, blo))
-                if bhi < shi:
-                    next_segments.append((bhi, shi))
-            segments = next_segments
-        out.extend(segments)
     return canonicalize_piece(out)
 
 

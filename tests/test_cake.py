@@ -300,6 +300,22 @@ def test_greedy_outputs_with_twins_are_pinned():
     assert digest == "f3a8e3e8d179016c99c40c3ce87dc186cd8f37a7273705caf3ec2a15f5263430"
 
 
+def test_greedy_at_two_thousand_intervals():
+    # 2000 distinct short intervals on a 10^6 grid: hundreds of winners
+    # and well over a thousand unserved agents taking slivers
+    rng = random.Random(2000)
+    spans = set()
+    while len(spans) < 2000:
+        lo = rng.randrange(10**6)
+        spans.add((lo, min(10**6, lo + rng.randint(1, 5000))))
+    spans = rng.sample(sorted(spans), len(spans))
+    inst = interval_instance(*((F(lo, 10**6), F(hi, 10**6)) for lo, hi in spans))
+    sol = greedy_contiguous(inst)
+    assert verify_caei(inst, sol, tolerance=0).is_caei
+    assert sol.welfare == _scheduling_reference([piece[0] for piece in inst.demands])
+    assert sum(1 for i, piece in enumerate(sol.allocation) if piece and i not in sol.served) > 1000
+
+
 # --- welfare maximization --------------------------------------------------
 
 

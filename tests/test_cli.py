@@ -496,14 +496,25 @@ def test_served_set_search_guard_exit_code(capsys, tmp_path, monkeypatch, comman
     ("--agents", "50", "--goods", "4", "--seed", "91", "--types", "12"),
     ("--agents", "35", "--goods", "4", "--seed", "127", "--types", "8"),
 ])
-def test_eg_convergence_failure_exit_code(capsys, tmp_path, argv):
-    # seeds whose numeric equilibrium ends just above its tolerance
+def test_eg_convergence_failure_exit_code(capsys, tmp_path, monkeypatch, argv):
+    # seeds whose Newton polish once stopped on a looser test than the
+    # final residual check: they answer and verify now, and a solve that
+    # still misses its tolerance exits 5 with one stderr line
     instance, out = tmp_path / "instance.json", tmp_path / "solution.json"
     assert run(capsys, "gen", "--model", "divisible", *argv, "--out", str(instance))[0] == EXIT_OK
-    code, stdout, err = run(capsys, "solve", str(instance), "--method", "eg", "--out", str(out))
-    assert (code, stdout) == (EXIT_EG_CONVERGENCE, "")
-    assert err.startswith("eg: final residual ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    solve = ("solve", str(instance), "--method", "eg", "--out", str(out))
+    assert run(capsys, *solve) == (EXIT_OK, "", "")
+    code, report, _ = run(capsys, "verify", str(instance), str(out), "--tol", "1e-6")
+    assert code == EXIT_OK and json.loads(report)["is_caei"] is True
+    out.unlink()
+
+    def missed(instance):
+        raise divisible.EgConvergenceError("final residual 1.051e-09 above tolerance")
+
+    monkeypatch.setattr(divisible, "solve_eg", missed)
+    assert run(capsys, *solve) == (
+        EXIT_EG_CONVERGENCE, "", "eg: final residual 1.051e-09 above tolerance\n"
+    )
     assert not out.exists()
 
 

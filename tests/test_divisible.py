@@ -103,6 +103,24 @@ def test_eg_random_instances_verify():
         assert verify_caei(inst, sol, tolerance=1e-6).is_caei
 
 
+def test_eg_verifies_on_gen_markets(capsys):
+    # 30 seeded gen markets, n up to 60 and half with --types, among them
+    # the three whose Newton polish once stopped short of the final check
+    rng = random.Random(1230)
+    cases = [(44, 7, 34, None), (50, 4, 91, 12), (35, 4, 127, 8)]
+    while len(cases) < 30:
+        n = rng.randint(10, 60)
+        types = rng.randint(1, min(n, 20)) if len(cases) % 2 else None
+        cases.append((n, rng.randint(1, 8), rng.randrange(10**4), types))
+    for agents, goods, seed, types in cases:
+        argv = ["gen", "--model", "divisible", "--agents", str(agents), "--goods", str(goods),
+                "--seed", str(seed)]
+        assert main(argv + (["--types", str(types)] if types else [])) == 0
+        _, inst = instance_from_json(json.loads(capsys.readouterr().out))
+        sol = solve_eg(inst)
+        assert verify_caei(inst, sol, tolerance=1e-6).is_caei, (agents, goods, seed, types)
+
+
 # --- exact subset LP -------------------------------------------------------
 
 
